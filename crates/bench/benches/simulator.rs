@@ -6,8 +6,9 @@ use hirise_bench::quickbench::Criterion;
 use hirise_bench::{criterion_group, criterion_main};
 use hirise_core::{HiRiseConfig, HiRiseSwitch, Switch2d};
 use hirise_manycore::{table_vi_mixes, CmpSystem, SystemConfig};
-use hirise_sim::mesh_sim::{MeshSim, MeshSimConfig};
-use hirise_sim::traffic::UniformRandom;
+use hirise_sim::mesh_sim::MeshSimConfig;
+use hirise_sim::shard::sharded_mesh;
+use hirise_sim::traffic::{TrafficPattern, UniformRandom};
 use hirise_sim::{NetworkSim, SimConfig};
 
 fn bench_network_sim(c: &mut Criterion) {
@@ -61,9 +62,15 @@ fn bench_mesh_sim(c: &mut Criterion) {
                 .warmup(100)
                 .measure(1_000)
                 .drain(500);
-            let mut sim = MeshSim::new(cfg, || HiRiseSwitch::new(&switch_cfg));
-            let mut pattern = UniformRandom::new(sim.total_cores());
-            sim.run(&mut pattern)
+            let cores = 9 * (64 - 4 * 6);
+            sharded_mesh(
+                &cfg,
+                64,
+                1,
+                |_node| HiRiseSwitch::new(&switch_cfg),
+                || Box::new(UniformRandom::new(cores)) as Box<dyn TrafficPattern>,
+            )
+            .run()
         })
     });
     group.finish();

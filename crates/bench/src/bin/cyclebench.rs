@@ -21,14 +21,14 @@
 //! cyclebench --net-smoke     # quick active-set-vs-dense regression gate
 //! ```
 //!
-//! `--net` benchmarks the *network-level* engines (whole topologies of
-//! switches rather than a single fabric): the unsharded mesh reference
-//! at the 8×8 radix-16 acceptance shape under high and low load, plus
-//! a dragonfly through the sharded engine at one shard. Its labels map
-//! to network engines, not kernels: `before` is the hash-map/dense
-//! engine (per-node `HashMap` routing metadata, every router scanned
-//! every cycle), `after` the arena + active-set engine (SoA packet
-//! arenas keyed by dense handles, only routers with work visited).
+//! `--net` benchmarks the *network-level* engine (whole topologies of
+//! switches rather than a single fabric) at one shard: the 8×8
+//! radix-16 acceptance mesh under high and low load, plus a dragonfly.
+//! Its labels map to network engines, not kernels: `before` is the
+//! hash-map/dense engine (per-node `HashMap` routing metadata, every
+//! router scanned every cycle), `after` the arena + active-set engine
+//! (SoA packet arenas keyed by dense handles, only routers with work
+//! visited).
 //! Like the kernel grid, re-running one label refreshes that column in
 //! place.
 //!
@@ -81,8 +81,8 @@ use hirise_core::{
 };
 use hirise_lab::json::{self, Json};
 use hirise_sim::dragonfly::{DragonflyConfig, DragonflyGeometry};
-use hirise_sim::mesh_sim::{MeshReport, MeshSim, MeshSimConfig};
-use hirise_sim::shard::{sharded_mesh, ShardedConfig, ShardedSim};
+use hirise_sim::mesh_sim::{MeshGeometry, MeshReport, MeshSimConfig};
+use hirise_sim::shard::{sharded_mesh, ShardTopology, ShardedConfig, ShardedSim};
 use hirise_sim::traffic::{TrafficPattern, UniformRandom};
 use hirise_sim::{NetSchedule, NetworkSim, SimConfig};
 
@@ -372,7 +372,7 @@ fn build_sharded_mesh(
     cols: usize,
     rows: usize,
     shards: usize,
-) -> ShardedSim<HiRiseSwitch, hirise_sim::mesh_sim::MeshGeometry> {
+) -> ShardedSim<HiRiseSwitch, MeshGeometry> {
     let cfg = MeshSimConfig::new(cols, rows, SHARDED_PPD)
         .injection_rate(INJECTION_RATE)
         .warmup(0)
@@ -451,9 +451,22 @@ fn net_switch_cfg() -> HiRiseConfig {
         .expect("valid Hi-Rise configuration")
 }
 
-/// Benchmarks the unsharded mesh reference (`MeshSim`) at one load:
-/// median simulated cycles/sec and delivered packets/sec across timed
-/// segments.
+/// The `--net` mesh under `cfg` (`dim x dim` radix-16 Hi-Rise nodes,
+/// uniform random traffic) at one shard.
+fn net_mesh(cfg: &MeshSimConfig, dim: usize) -> ShardedSim<HiRiseSwitch, MeshGeometry> {
+    let switch_cfg = net_switch_cfg();
+    let cores = dim * dim * (NET_RADIX - 4 * NET_PPD);
+    sharded_mesh(
+        cfg,
+        NET_RADIX,
+        1,
+        move |_node| HiRiseSwitch::with_kernel(&switch_cfg, ArbiterKernel::Word),
+        move || Box::new(UniformRandom::new(cores)) as Box<dyn TrafficPattern>,
+    )
+}
+
+/// Benchmarks the mesh at one load: median simulated cycles/sec and
+/// delivered packets/sec across timed segments.
 fn measure_net_mesh(
     dim: usize,
     injection: f64,
@@ -466,31 +479,11 @@ fn measure_net_mesh(
         .measure(u64::MAX / 2)
         .seed(SEED)
         .schedule(schedule);
-    let switch_cfg = net_switch_cfg();
-    let mut sim = MeshSim::new(cfg, move || {
-        HiRiseSwitch::with_kernel(&switch_cfg, ArbiterKernel::Word)
-    });
-    let mut pattern = UniformRandom::new(sim.total_cores());
-    let mut report = sim.empty_report();
-    sim.run_cycles(&mut pattern, &mut report, scale.warmup_cycles);
-    let mut cycles_per_sec = Vec::with_capacity(scale.reps);
-    let mut packets_per_sec = Vec::with_capacity(scale.reps);
-    for _ in 0..scale.reps {
-        let delivered = report.completed_measured();
-        let start = Instant::now();
-        sim.run_cycles(&mut pattern, &mut report, scale.cycles_per_rep);
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        cycles_per_sec.push(scale.cycles_per_rep as f64 / secs);
-        packets_per_sec.push((report.completed_measured() - delivered) as f64 / secs);
-    }
-    Throughput {
-        cycles_per_sec: median(&mut cycles_per_sec),
-        packets_per_sec: median(&mut packets_per_sec),
-    }
+    measure_net_sim(net_mesh(&cfg, dim), scale)
 }
 
-/// Benchmarks the dragonfly through the sharded engine at one shard
-/// (the engine itself, without lockstep overhead).
+/// Benchmarks the dragonfly at one shard (the engine itself, without
+/// lockstep overhead).
 fn measure_net_dragonfly(injection: f64, schedule: NetSchedule, scale: &Scale) -> Throughput {
     let (_routers, (a, p, h, g)) = net_dragonfly(scale);
     let geo = DragonflyGeometry::new(DragonflyConfig::new(a, p, h, g), NET_RADIX, &[])
@@ -503,13 +496,22 @@ fn measure_net_dragonfly(injection: f64, schedule: NetSchedule, scale: &Scale) -
         .seed(SEED)
         .schedule(schedule);
     let switch_cfg = net_switch_cfg();
-    let mut sim = ShardedSim::new(
+    let sim = ShardedSim::new(
         geo,
         cfg,
         1,
         |_node| HiRiseSwitch::with_kernel(&switch_cfg, ArbiterKernel::Word),
         || Box::new(UniformRandom::new(endpoints)) as Box<dyn TrafficPattern>,
     );
+    measure_net_sim(sim, scale)
+}
+
+/// Warms `sim` up untimed, then returns the median simulated cycles/sec
+/// and delivered packets/sec across timed segments.
+fn measure_net_sim<T: ShardTopology>(
+    mut sim: ShardedSim<HiRiseSwitch, T>,
+    scale: &Scale,
+) -> Throughput {
     sim.run_cycles(scale.warmup_cycles);
     let mut cycles_per_sec = Vec::with_capacity(scale.reps);
     let mut packets_per_sec = Vec::with_capacity(scale.reps);
@@ -982,14 +984,9 @@ fn net_smoke() -> ExitCode {
                 .measure(1_000)
                 .seed(SEED)
                 .schedule(schedule);
-            let switch_cfg = net_switch_cfg();
-            let mut sim = MeshSim::new(cfg, move || {
-                HiRiseSwitch::with_kernel(&switch_cfg, ArbiterKernel::Word)
-            });
-            let mut pattern = UniformRandom::new(sim.total_cores());
-            let mut report = sim.empty_report();
-            sim.run_cycles(&mut pattern, &mut report, 2_000);
-            report
+            let mut sim = net_mesh(&cfg, dim);
+            sim.run_cycles(2_000);
+            sim.report()
         })
         .collect();
     if reports[0] == reports[1] && reports[0].completed_measured() > 0 {

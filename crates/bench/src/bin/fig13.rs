@@ -6,14 +6,15 @@
 //!
 //! The load sweep runs as one parallel `hirise_lab` campaign over a
 //! `Topology::Mesh`; the port-mapping comparison needs a closure-based
-//! traffic pattern and stays on the direct `MeshSim` API.
+//! traffic pattern and drives `sharded_mesh` directly at one shard.
 
 use hirise_bench::{RunScale, Table};
 use hirise_core::{HiRiseConfig, HiRiseSwitch, InputId, OutputId};
 use hirise_lab::{default_threads, CampaignSpec, FabricSpec, PatternSpec, Topology};
 use hirise_phys::SwitchDesign;
-use hirise_sim::mesh_sim::{MeshPortMap, MeshSim, MeshSimConfig};
-use hirise_sim::traffic::Custom;
+use hirise_sim::mesh_sim::{MeshPortMap, MeshSimConfig};
+use hirise_sim::shard::sharded_mesh;
+use hirise_sim::traffic::{Custom, TrafficPattern};
 
 fn main() {
     let scale = RunScale::from_args();
@@ -90,22 +91,24 @@ fn main() {
             .warmup(scale.warmup / 2)
             .measure(scale.measure / 2)
             .drain(scale.drain);
-        let mut sim = MeshSim::new(cfg, || HiRiseSwitch::new(&switch_cfg));
-        let mut pattern = Custom::new("horizontal", move |input: InputId, r, rng| {
-            use hirise_core::rng::Rng;
-            let node = input.index() / cores_per_node;
-            if !node.is_multiple_of(cols) {
-                return None; // only the west-edge column injects
-            }
-            if !rng.gen_bool(f64::clamp(r, 0.0, 1.0)) {
-                return None;
-            }
-            let dst_node = node + (cols - 1); // same row, east edge
-            Some(OutputId::new(
-                dst_node * cores_per_node + rng.gen_range(0..cores_per_node),
-            ))
-        });
-        let report = sim.run(&mut pattern);
+        let pattern = move || {
+            Box::new(Custom::new("horizontal", move |input: InputId, r, rng| {
+                use hirise_core::rng::Rng;
+                let node = input.index() / cores_per_node;
+                if !node.is_multiple_of(cols) {
+                    return None; // only the west-edge column injects
+                }
+                if !rng.gen_bool(f64::clamp(r, 0.0, 1.0)) {
+                    return None;
+                }
+                let dst_node = node + (cols - 1); // same row, east edge
+                Some(OutputId::new(
+                    dst_node * cores_per_node + rng.gen_range(0..cores_per_node),
+                ))
+            })) as Box<dyn TrafficPattern>
+        };
+        let report =
+            sharded_mesh(&cfg, 64, 1, |_node| HiRiseSwitch::new(&switch_cfg), pattern).run();
         map_table.add_row([
             name.to_string(),
             format!("{:.2}", report.accepted_rate() * freq),

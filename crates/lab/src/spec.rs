@@ -555,7 +555,8 @@ pub struct SimParams {
     pub window: Option<usize>,
     /// Run the invariant checker in recording mode so violations end
     /// up in the job's result record instead of panicking (on by
-    /// default; costs a few percent of simulation speed).
+    /// default). It is not cheap: a radix-64 job takes 1.47–1.87× as
+    /// long with the checker on as with it off.
     pub record_invariants: bool,
 }
 

@@ -122,7 +122,7 @@ impl<F: Fabric> SwitchNet<F> {
     /// Advances the network one switch cycle.
     pub fn step(&mut self) {
         self.cycle
-            .transfers(&mut self.fabric, |_input, _vc, packet| {
+            .transfers(&mut self.fabric, |_input, _vc, _output, packet| {
                 let slot = packet.handle.slot();
                 let payload = self.payloads[slot as usize]
                     .take()

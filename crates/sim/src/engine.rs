@@ -1,10 +1,13 @@
-//! The shared per-node engine of the network-level simulators.
+//! The per-node engine of the network simulator.
 //!
-//! [`MeshSim`](crate::mesh_sim::MeshSim) and the sharded engine in
-//! [`crate::shard`] step the same three-phase cycle (transfers,
-//! injection, arbitration) over the same per-node state; this module
-//! holds that state and the two heavy phases, so both simulators run
-//! byte-identical semantics through one implementation.
+//! [`ShardedSim`](crate::shard::ShardedSim) steps a topology of switches
+//! through a three-phase cycle (transfers, injection, arbitration); this
+//! module holds each shard's per-node state and the two heavy phases.
+//! Every router is one [`SwitchCycle`] — the same port scan, flit
+//! countdown, release beat, fill/select and grant commit that the
+//! single-switch simulator runs — and the engine adds only what a
+//! network needs around it: routing, credit checks, packet hop counts
+//! and the scheduling of which routers to visit.
 //!
 //! Two structural choices make the hot loop cheap:
 //!
@@ -13,15 +16,13 @@
 //!   [`PacketHandle`](hirise_core::PacketHandle) stored inside each
 //!   [`Packet`], replacing the old per-node `HashMap<u64, MeshPacket>`
 //!   (a SipHash probe per buffered packet per cycle) and its insert /
-//!   remove churn. Transfer slots are flat `Vec`s (flit countdown +
-//!   output port) with a validity bitmask, replacing
-//!   `Vec<Option<Transfer>>`.
+//!   remove churn.
 //! * **Active sets** — the engine maintains a `work` set (nodes holding
 //!   any packet in a source queue or VC) and a `moving` set (nodes with
-//!   a transfer slot occupied). The transfer phase walks only `moving`,
-//!   the arbitration phase only `work`, and per-node port scans walk
-//!   occupancy mask words, so an idle router costs *zero* work per
-//!   cycle instead of a radix-wide scan plus an empty arbitration.
+//!   a transfer in flight). The transfer phase walks only `moving`, the
+//!   arbitration phase only `work`, and each switch cycle walks its
+//!   occupancy bitmaps, so an idle router costs *zero* work per cycle
+//!   instead of a radix-wide scan plus an empty arbitration.
 //!
 //! Skipping an idle router is only sound because an idle arbitration
 //! cycle is unobservable for it: `arbitrate` with no requests and no
@@ -41,12 +42,12 @@
 //! keeps its node scheduled and there is no missed-wakeup hazard.
 
 use crate::arena::PacketArena;
-use crate::invariant::{InvariantChecker, InvariantViolation};
+use crate::invariant::InvariantChecker;
 use crate::mesh_sim::MeshReport;
 use crate::packet::Packet;
-use crate::port::InputPort;
 use crate::shard::ShardTopology;
-use hirise_core::{BitSet, Fabric, Grant, InputId, OutputId, Request};
+use crate::switch_cycle::SwitchCycle;
+use hirise_core::{BitSet, Fabric};
 
 /// How the network simulators schedule per-node work each cycle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -62,37 +63,23 @@ pub enum NetSchedule {
     ActiveSet,
 }
 
-/// Per-node simulation state shared by the mesh and sharded engines:
-/// flattened input ports, the packet arena, SoA transfer slots, the
-/// active sets, and persistent per-cycle scratch.
+/// Per-node simulation state of one shard: a switch cycle per node,
+/// the packet arena, the active sets, and persistent per-cycle scratch.
 ///
-/// Node indices here are *local* (0-based within the owning simulator
-/// or shard); phase functions take `node_lo` to translate to global
-/// topology indices.
+/// Node indices here are *local* (0-based within the owning shard);
+/// phase functions take `node_lo` to translate to global topology
+/// indices.
 #[derive(Debug)]
 pub(crate) struct NodeEngine {
-    pub(crate) nodes: usize,
-    pub(crate) radix: usize,
-    /// Words per node in the port-indexed bitmasks.
-    pub(crate) stride: usize,
-    /// `ports[node * radix + input]`.
-    pub(crate) ports: Vec<InputPort>,
-    pub(crate) arena: PacketArena,
-    /// Flit countdown per transfer slot; valid iff the `xfer_mask` bit
-    /// is set. `> 0`: in flight; `== 0`: completed, awaiting the
-    /// release beat.
-    xfer_flits: Vec<u32>,
-    /// Output port of each valid transfer slot.
-    xfer_output: Vec<u32>,
-    /// Bit per (node, input): transfer slot occupied.
-    xfer_mask: Vec<u64>,
-    /// Bit per (node, input): port holds at least one packet.
-    occ_mask: Vec<u64>,
+    radix: usize,
+    /// `cycles[node]`: the node's ports and transfers.
+    cycles: Vec<SwitchCycle>,
+    arena: PacketArena,
     /// Packets admitted to each node and not yet launched downstream.
     resident: Vec<u32>,
     /// Nodes with `resident > 0`, plus every pinned node.
     work: BitSet,
-    /// Nodes with any transfer slot occupied.
+    /// Nodes with a transfer or release beat in flight.
     moving: BitSet,
     /// Nodes whose fabric must arbitrate every cycle
     /// ([`Fabric::ticks_when_idle`]): flaky-fault switches.
@@ -105,15 +92,13 @@ pub(crate) struct NodeEngine {
     active_node_cycles: u64,
     /// Snapshot buffer for iterating an active set while mutating it.
     worklist: Vec<u32>,
-    /// Per-node scratch: `(input, output)` of surviving candidates.
-    candidates: Vec<(u32, u32)>,
-    requests: Vec<Request>,
-    grants: Vec<Grant>,
-    /// Grant bit per input, `stride` words, cleared per node.
-    granted: Vec<u64>,
-    /// Ports whose occupancy changed since the list was last drained;
-    /// only maintained when `track_touched` (shards with boundary
-    /// ports, which publish occupancy snapshots from it).
+    /// `(node, input, packet)` forwarded to a node of this engine during
+    /// one node's transfer scan, admitted once that scan is over.
+    forwards: Vec<(u32, u32, Packet)>,
+    /// Ports (`node * radix + input`) whose occupancy changed since the
+    /// list was last drained; only maintained when `track_touched`
+    /// (shards with boundary ports, which publish occupancy snapshots
+    /// from it).
     pub(crate) touched: Vec<u32>,
     track_touched: bool,
 }
@@ -130,7 +115,6 @@ impl NodeEngine {
     ) -> Self {
         let nodes = switches.len();
         let radix = switches[0].radix();
-        let stride = radix.div_ceil(64);
         let mut work = BitSet::new(nodes);
         let mut pinned = BitSet::new(nodes);
         for (node, switch) in switches.iter().enumerate() {
@@ -140,15 +124,9 @@ impl NodeEngine {
             }
         }
         Self {
-            nodes,
             radix,
-            stride,
-            ports: (0..nodes * radix).map(|_| InputPort::new(vcs)).collect(),
+            cycles: (0..nodes).map(|_| SwitchCycle::new(radix, vcs)).collect(),
             arena: PacketArena::with_capacity(nodes * radix),
-            xfer_flits: vec![0; nodes * radix],
-            xfer_output: vec![0; nodes * radix],
-            xfer_mask: vec![0; nodes * stride],
-            occ_mask: vec![0; nodes * stride],
             resident: vec![0; nodes],
             work,
             moving: BitSet::new(nodes),
@@ -157,31 +135,25 @@ impl NodeEngine {
             checker: InvariantChecker::recording(),
             active_node_cycles: 0,
             worklist: Vec::with_capacity(nodes),
-            candidates: Vec::with_capacity(radix),
-            requests: Vec::with_capacity(radix),
-            grants: Vec::with_capacity(radix),
-            granted: vec![0; stride],
+            forwards: Vec::with_capacity(radix),
             touched: Vec::new(),
             track_touched,
         }
     }
 
-    /// The port at `(local node, input)`.
-    #[cfg(test)]
-    pub(crate) fn port(&self, local: usize, input: usize) -> &InputPort {
-        &self.ports[local * self.radix + input]
+    /// Packets held by port `node * radix + input` (a `touched` entry).
+    pub(crate) fn occupancy(&self, port: usize) -> usize {
+        self.cycles[port / self.radix].ports[port % self.radix].occupancy()
     }
 
     /// Admits a packet that already owns a live arena slot into a
     /// node's input port (local forwarding).
-    pub(crate) fn admit(&mut self, local: usize, input: usize, packet: Packet) {
-        let idx = local * self.radix + input;
-        self.ports[idx].inject(packet);
+    fn admit(&mut self, local: usize, input: usize, packet: Packet) {
+        self.cycles[local].enqueue(input, packet);
         self.resident[local] += 1;
         self.work.insert(local);
-        self.occ_mask[local * self.stride + input / 64] |= 1u64 << (input % 64);
         if self.track_touched {
-            self.touched.push(idx as u32);
+            self.touched.push((local * self.radix + input) as u32);
         }
     }
 
@@ -201,37 +173,33 @@ impl NodeEngine {
         self.active_node_cycles
     }
 
-    /// Metadata-integrity violations recorded so far.
-    pub(crate) fn violations(&self) -> &[InvariantViolation] {
-        self.checker.violations()
-    }
-
     /// Total violations observed (including beyond the record cap).
     pub(crate) fn violation_count(&self) -> u64 {
         self.checker.violation_count()
     }
-
-    /// A buffered packet's arena slot is missing: the invariant the old
-    /// engine enforced with
-    /// `.expect("metadata present for buffered packet")`. Recorded, and
-    /// the packet is dropped, instead of aborting the process.
-    fn missing_meta(&mut self, now: u64, id: u64, node: usize) {
-        self.checker.report_violation(
-            Some(now),
-            format!(
-                "invariant violated: no arena metadata for buffered packet {id} at node {node}; \
-                 packet dropped"
-            ),
-        );
-    }
 }
 
-/// Transfer phase: advance every occupied transfer slot of the active
-/// (`moving`) nodes one flit. A slot reaching zero completes — the
-/// packet ejects (delivery telemetry into `report`), forwards into a
-/// local node's port, or is handed to `remote` with its final hop count
-/// (cross-shard, the sender's arena slot freed). A slot already at zero
-/// is the release beat: free the fabric connection and the slot.
+/// A buffered packet's arena slot is missing: the invariant the old
+/// engine enforced with `.expect("metadata present for buffered
+/// packet")`. Recorded, and the packet is dropped, instead of aborting
+/// the process.
+fn missing_meta(checker: &mut InvariantChecker, now: u64, id: u64, node: usize) {
+    checker.report_violation(
+        Some(now),
+        format!(
+            "invariant violated: no arena metadata for buffered packet {id} at node {node}; \
+             packet dropped"
+        ),
+    );
+}
+
+/// Transfer phase: steps the transfers of every active (`moving`) node
+/// through its [`SwitchCycle`]. A packet whose tail flit lands ejects
+/// (delivery telemetry into `report`), forwards into a port of this
+/// engine — admitted after the sending node's scan; at most one packet
+/// reaches an input per cycle and admission only queues it, so the
+/// delay changes no port state — or is handed to `remote` with its
+/// final hop count (cross-shard, the sender's arena slot freed).
 ///
 /// `node_lo` is the global index of local node 0; `remote` receives
 /// `(global node, input, packet, hops)`.
@@ -246,191 +214,135 @@ pub(crate) fn phase_transfers<F: Fabric, T: ShardTopology + ?Sized>(
     now: u64,
     mut remote: impl FnMut(usize, usize, Packet, u32),
 ) {
-    let stride = eng.stride;
-    let radix = eng.radix;
     let mut list = std::mem::take(&mut eng.worklist);
     list.clear();
     match eng.schedule {
-        NetSchedule::Dense => list.extend(0..eng.nodes as u32),
+        NetSchedule::Dense => list.extend(0..eng.cycles.len() as u32),
         NetSchedule::ActiveSet => list.extend(eng.moving.iter().map(|n| n as u32)),
     }
+    let node_hi = node_lo + eng.cycles.len();
+    let radix = eng.radix;
+    let mut forwards = std::mem::take(&mut eng.forwards);
     for &nl in &list {
         let local = nl as usize;
         let node = node_lo + local;
-        let mask_base = local * stride;
-        for w in 0..stride {
-            // Word copy: bits cleared below don't affect this scan, and
-            // nothing sets transfer bits during the phase.
-            let mut word = eng.xfer_mask[mask_base + w];
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let input = w * 64 + bit;
-                let idx = local * radix + input;
-                if eng.xfer_flits[idx] > 0 {
-                    eng.xfer_flits[idx] -= 1;
-                    if eng.xfer_flits[idx] != 0 {
-                        continue;
-                    }
-                    // Tail flit left: the packet moves on. The slot
-                    // stays occupied until next cycle's release beat.
-                    let output = OutputId::new(eng.xfer_output[idx] as usize);
-                    let packet = eng.ports[idx].complete_transfer();
-                    if eng.ports[idx].is_idle() {
-                        eng.occ_mask[mask_base + w] &= !(1u64 << bit);
-                    }
-                    if eng.track_touched {
-                        eng.touched.push(idx as u32);
-                    }
-                    match topo.wire(node, output) {
-                        None => match eng.arena.take(packet.handle) {
-                            Some(prior) => {
-                                if in_window {
-                                    report.delivered_in_window += 1;
-                                }
-                                if packet.measured {
-                                    report.completed_measured += 1;
-                                    let latency = packet.latency(now);
-                                    report.latency_sum += latency;
-                                    report.histogram.record(latency);
-                                    report.hop_sum += u64::from(prior + 1);
-                                }
-                            }
-                            None => eng.missing_meta(now, packet.id, node),
-                        },
-                        Some((next_node, next_input)) => {
-                            if (node_lo..node_lo + eng.nodes).contains(&next_node) {
-                                match eng.arena.bump(packet.handle) {
-                                    Some(_) => eng.admit(next_node - node_lo, next_input, packet),
-                                    None => eng.missing_meta(now, packet.id, node),
-                                }
-                            } else {
-                                match eng.arena.take(packet.handle) {
-                                    Some(prior) => remote(next_node, next_input, packet, prior + 1),
-                                    None => eng.missing_meta(now, packet.id, node),
-                                }
-                            }
+        let cycle = &mut eng.cycles[local];
+        cycle.transfers(&mut switches[local], |input, _vc, output, packet| {
+            if eng.track_touched {
+                eng.touched.push((local * radix + input) as u32);
+            }
+            match topo.wire(node, output) {
+                None => match eng.arena.take(packet.handle) {
+                    Some(prior) => {
+                        if in_window {
+                            report.delivered_in_window += 1;
+                        }
+                        if packet.measured {
+                            report.completed_measured += 1;
+                            let latency = packet.latency(now);
+                            report.latency_sum += latency;
+                            report.histogram.record(latency);
+                            report.hop_sum += u64::from(prior + 1);
                         }
                     }
-                } else {
-                    // Release beat, one cycle after the tail flit.
-                    switches[local].release(InputId::new(input));
-                    eng.xfer_mask[mask_base + w] &= !(1u64 << bit);
-                    if eng.xfer_mask[mask_base..mask_base + stride]
-                        .iter()
-                        .all(|&x| x == 0)
-                    {
-                        eng.moving.remove(local);
+                    None => missing_meta(&mut eng.checker, now, packet.id, node),
+                },
+                Some((next_node, next_input)) if (node_lo..node_hi).contains(&next_node) => {
+                    match eng.arena.bump(packet.handle) {
+                        Some(_) => {
+                            forwards.push(((next_node - node_lo) as u32, next_input as u32, packet))
+                        }
+                        None => missing_meta(&mut eng.checker, now, packet.id, node),
                     }
                 }
+                Some((next_node, next_input)) => match eng.arena.take(packet.handle) {
+                    Some(prior) => remote(next_node, next_input, packet, prior + 1),
+                    None => missing_meta(&mut eng.checker, now, packet.id, node),
+                },
             }
+        });
+        if !cycle.is_moving() {
+            eng.moving.remove(local);
+        }
+        for (next, input, packet) in forwards.drain(..) {
+            eng.admit(next as usize, input as usize, packet);
         }
     }
+    eng.forwards = forwards;
     eng.worklist = list;
 }
 
-/// Arbitration phase: for every active (`work`) node, fill VCs and
-/// select a candidate on each occupied port, route and credit-check it,
-/// arbitrate the surviving requests, and launch the winners' transfers.
+/// Arbitration phase: for every active (`work`) node, collects its
+/// switch cycle's requests — routing each candidate and, where the
+/// topology credit-checks links, revoking it while the downstream port
+/// is full — arbitrates them, and commits the winners' transfers.
 ///
 /// `remote_occupancy` answers credit checks for downstream ports
-/// outside `[node_lo, node_lo + nodes)` (the shard frontier snapshots);
-/// unsharded callers can make it unreachable.
-#[allow(clippy::too_many_arguments)]
+/// outside `[node_lo, node_lo + nodes)` (the shard frontier snapshots).
 pub(crate) fn phase_arbitrate<F: Fabric, T: ShardTopology + ?Sized>(
     eng: &mut NodeEngine,
     switches: &mut [F],
     topo: &T,
     node_lo: usize,
     link_buffer_packets: usize,
-    packet_len_flits: usize,
     mut remote_occupancy: impl FnMut(usize, usize) -> usize,
 ) {
-    let stride = eng.stride;
-    let radix = eng.radix;
     let credit = topo.credit_links();
     let mut list = std::mem::take(&mut eng.worklist);
     list.clear();
     match eng.schedule {
-        NetSchedule::Dense => list.extend(0..eng.nodes as u32),
+        NetSchedule::Dense => list.extend(0..eng.cycles.len() as u32),
         NetSchedule::ActiveSet => list.extend(eng.work.iter().map(|n| n as u32)),
     }
     eng.active_node_cycles += list.len() as u64;
     for &nl in &list {
         let local = nl as usize;
         let node = node_lo + local;
-        let mask_base = local * stride;
-        eng.candidates.clear();
-        eng.requests.clear();
-        for w in 0..stride {
-            // Word copy: candidate selection never changes occupancy.
-            let mut word = eng.occ_mask[mask_base + w];
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let input = w * 64 + bit;
-                let idx = local * radix + input;
-                eng.ports[idx].fill_vcs();
-                if eng.xfer_mask[mask_base + w] & (1u64 << bit) != 0 {
-                    continue; // transfer slot busy (in flight or pre-release)
-                }
-                let Some(&Packet { id, dst, .. }) = eng.ports[idx].select_candidate() else {
-                    continue;
-                };
-                let output = topo.route(node, dst.index(), id as usize);
-                if credit {
-                    // The downstream port must have a free slot before
-                    // this hop may start (the in-flight hop itself is
-                    // the one slot we reserve).
-                    if let Some((next_node, next_input)) = topo.wire(node, output) {
-                        let occupancy = if (node_lo..node_lo + eng.nodes).contains(&next_node) {
-                            eng.ports[(next_node - node_lo) * radix + next_input].occupancy()
-                        } else {
-                            remote_occupancy(next_node, next_input)
-                        };
-                        if occupancy >= link_buffer_packets {
-                            eng.ports[idx].revoke_candidate();
-                            continue;
-                        }
+        // Credit checks read the downstream node's ports beside this
+        // node's own, which `collect` holds mutably. Occupancy is
+        // constant throughout arbitration, and a wire never loops back
+        // to its own node (`ShardedSim::new` checks).
+        let (before, rest) = eng.cycles.split_at_mut(local);
+        let (cycle, after) = rest.split_first_mut().expect("local node in range");
+        cycle.collect(|_input, packet| {
+            let output = topo.route(node, packet.dst.index(), packet.id as usize);
+            if credit {
+                // The downstream port must have a free slot before this
+                // hop may start (the in-flight hop itself is the one
+                // slot we reserve).
+                if let Some((next_node, next_input)) = topo.wire(node, output) {
+                    let next = next_node.wrapping_sub(node_lo);
+                    let occupancy = if next < local {
+                        before[next].ports[next_input].occupancy()
+                    } else if next > local && next - local - 1 < after.len() {
+                        after[next - local - 1].ports[next_input].occupancy()
+                    } else {
+                        remote_occupancy(next_node, next_input)
+                    };
+                    if occupancy >= link_buffer_packets {
+                        return None;
                     }
                 }
-                eng.candidates.push((input as u32, output.index() as u32));
-                eng.requests.push(Request::new(InputId::new(input), output));
             }
-        }
+            Some(output)
+        });
         // An idle arbitration is unobservable unless the fabric ticks
         // its fault PRNG when idle — those nodes are pinned and always
         // arbitrated, so skipping here never desynchronises a stream.
-        if eng.requests.is_empty()
+        if cycle.requests.is_empty()
             && eng.schedule == NetSchedule::ActiveSet
             && !eng.pinned.contains(local)
         {
             continue;
         }
-        switches[local].arbitrate_into(&eng.requests, &mut eng.grants);
-        for word in &mut eng.granted {
-            *word = 0;
-        }
-        for grant in &eng.grants {
-            eng.granted[grant.input.index() / 64] |= 1u64 << (grant.input.index() % 64);
-        }
-        for c in 0..eng.candidates.len() {
-            let (input, output) = eng.candidates[c];
-            let input = input as usize;
-            let idx = local * radix + input;
-            if eng.granted[input / 64] & (1u64 << (input % 64)) != 0 {
-                eng.ports[idx].confirm_grant();
-                eng.xfer_flits[idx] = packet_len_flits as u32;
-                eng.xfer_output[idx] = output;
-                eng.xfer_mask[mask_base + input / 64] |= 1u64 << (input % 64);
-                eng.moving.insert(local);
-                // The launched packet no longer holds this node active.
-                eng.resident[local] -= 1;
-                if eng.resident[local] == 0 && !eng.pinned.contains(local) {
-                    eng.work.remove(local);
-                }
-            } else {
-                eng.ports[idx].revoke_candidate();
+        switches[local].arbitrate_into(&cycle.requests, &mut cycle.grants);
+        let started = cycle.commit();
+        if started > 0 {
+            eng.moving.insert(local);
+            // The launched packets no longer hold this node active.
+            eng.resident[local] -= started as u32;
+            if eng.resident[local] == 0 && !eng.pinned.contains(local) {
+                eng.work.remove(local);
             }
         }
     }
@@ -441,7 +353,7 @@ pub(crate) fn phase_arbitrate<F: Fabric, T: ShardTopology + ?Sized>(
 mod tests {
     use super::*;
     use crate::mesh_sim::{MeshGeometry, MeshPortMap};
-    use hirise_core::{PacketHandle, Switch2d};
+    use hirise_core::{InputId, OutputId, PacketHandle, Switch2d};
 
     fn tiny() -> (NodeEngine, Vec<Switch2d>, MeshGeometry) {
         let geo = MeshGeometry::new(2, 1, 1, 8, MeshPortMap::Contiguous);
@@ -489,7 +401,7 @@ mod tests {
                 now,
                 |_, _, _, _| unreachable!("no shard boundary here"),
             );
-            phase_arbitrate(&mut eng, &mut switches, &geo, 0, 4, 2, |_, _| {
+            phase_arbitrate(&mut eng, &mut switches, &geo, 0, 4, |_, _| {
                 unreachable!("no remote ports")
             });
         }
@@ -524,18 +436,12 @@ mod tests {
                 now,
                 |_, _, _, _| unreachable!(),
             );
-            phase_arbitrate(
-                &mut eng,
-                &mut switches,
-                &geo,
-                0,
-                4,
-                2,
-                |_, _| unreachable!(),
-            );
+            phase_arbitrate(&mut eng, &mut switches, &geo, 0, 4, |_, _| unreachable!());
         }
         assert_eq!(eng.violation_count(), 1, "violation recorded");
-        assert!(eng.violations()[0].message.contains("no arena metadata"));
+        assert!(eng.checker.violations()[0]
+            .message
+            .contains("no arena metadata"));
         assert_eq!(
             report.completed_measured, 0,
             "the corrupt packet is dropped, not counted"

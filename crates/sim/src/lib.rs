@@ -5,7 +5,8 @@
 //! ([`hirise_core::Fabric`]) with synthetic traffic. Each port has 4
 //! virtual channels of 4-flit depth, flits are 128 bits, and packets are
 //! 4 flits, matching the paper's setup. [`SwitchCycle`] is the switch
-//! cycle itself, shared with the many-core simulator.
+//! cycle itself, shared with the many-core simulator and stepped once
+//! per router by the network simulator.
 //!
 //! The simulator works in *switch cycles*; converting latency to
 //! nanoseconds and throughput to Tbps requires the design's clock
@@ -15,10 +16,13 @@
 //! closed-loop (windowed) injection ([`SimConfig::window`]), streaming
 //! log-bucketed latency percentiles
 //! ([`SimReport::latency_percentile_cycles`], backed by the mergeable
-//! [`LatencyHistogram`]), and a flit-level simulator for 2D meshes of
-//! Hi-Rise switches with XY routing and credit-based back-pressure
-//! ([`mesh_sim`], realising the paper's Fig. 13 topology; [`mesh`]
-//! holds the matching graph-level analysis). Load sweeps and the
+//! [`LatencyHistogram`]), and a flit-level network simulator
+//! ([`shard::ShardedSim`]) that steps a topology of switches on one
+//! thread or many with byte-identical results: 2D meshes of Hi-Rise
+//! switches with XY routing and credit-based back-pressure
+//! ([`shard::sharded_mesh`] over [`mesh_sim`]'s geometry, realising the
+//! paper's Fig. 13 topology; [`mesh`] holds the matching graph-level
+//! analysis) and wafer-scale [`dragonfly`]s. Load sweeps and the
 //! saturation search live in the `hirise-lab` experiment-campaign crate,
 //! which drives this simulator in parallel across configurations;
 //! replicate sweeps run as interleaved lanes of one [`LaneBatch`], each

@@ -1,4 +1,5 @@
-//! Cycle-accurate simulation of a 2D mesh of switches (§VI-E, Fig. 13).
+//! The 2D mesh of switches (§VI-E, Fig. 13): its geometry, its
+//! configuration and its report.
 //!
 //! Each mesh node is a full switch fabric (normally a
 //! [`HiRiseSwitch`](hirise_core::HiRiseSwitch)) whose ports are split
@@ -8,21 +9,16 @@
 //! release semantics of the single-switch simulator. The Z (layer)
 //! dimension is handled *inside* each Hi-Rise switch, which is exactly
 //! the paper's point: "the 3D switch can provide the adaptable Z
-//! dimension routing".
+//! dimension routing". [`sharded_mesh`](crate::shard::sharded_mesh)
+//! runs the mesh, on one shard or many.
 //!
 //! Core numbering is global: core `g` lives on node
 //! `(g / cores_per_node)` in row-major order, at local core index
 //! `g % cores_per_node`.
 
-use crate::engine::{phase_arbitrate, phase_transfers, NetSchedule, NodeEngine};
-use crate::invariant::InvariantViolation;
-use crate::packet::Packet;
+use crate::engine::NetSchedule;
 use crate::stats::LatencyHistogram;
-use crate::traffic::TrafficPattern;
-use hirise_core::rng::derive_stream_seed;
-use hirise_core::rng::SeedableRng;
-use hirise_core::rng::StdRng;
-use hirise_core::{Fabric, InputId, OutputId, PacketHandle};
+use hirise_core::OutputId;
 
 /// The four mesh directions, in port-bank order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -364,10 +360,8 @@ impl PortLayout {
 }
 
 /// The pure geometry of a 2D mesh of switches: node grid, port layout,
-/// XY routing and link wiring. Shared by the unsharded [`MeshSim`]
-/// reference and the sharded engine
-/// ([`ShardedSim`](crate::shard::ShardedSim)), so both walk exactly the
-/// same topology.
+/// XY routing and link wiring — the [`ShardTopology`](crate::shard::ShardTopology)
+/// the sharded engine ([`ShardedSim`](crate::shard::ShardedSim)) walks.
 #[derive(Clone, Debug)]
 pub struct MeshGeometry {
     cols: usize,
@@ -498,253 +492,45 @@ impl MeshGeometry {
     }
 }
 
-/// A cycle-accurate mesh of switch fabrics with XY routing.
-///
-/// This is the single-threaded *reference* engine: the sharded engine in
-/// [`crate::shard`] reproduces its telemetry byte-for-byte at any shard
-/// count, which the twin-instance identity tests pin.
-#[derive(Debug)]
-pub struct MeshSim<F> {
-    cfg: MeshSimConfig,
-    geo: MeshGeometry,
-    switches: Vec<F>,
-    /// Ports, packet arena, transfer slots, active sets and scratch —
-    /// the state shared with the sharded engine.
-    engine: NodeEngine,
-    /// Per-core injection RNG streams, seeded purely by
-    /// `(cfg.seed, core)` so injection is a function of global position
-    /// — the property that lets shards own disjoint core ranges and
-    /// still reproduce this exact traffic.
-    rngs: Vec<StdRng>,
-    /// Per-core injected-packet counts; packet ids are
-    /// `core << 32 | count`, unique and position-derived.
-    seqs: Vec<u64>,
-    now: u64,
-}
-
-impl<F: Fabric> MeshSim<F> {
-    /// Builds the mesh, creating one switch per node via `make_switch`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the switches are too small for the reserved direction
-    /// ports, or disagree in radix.
-    pub fn new(cfg: MeshSimConfig, mut make_switch: impl FnMut() -> F) -> Self {
-        Self::with_switches(cfg, move |_node| make_switch())
-    }
-
-    /// Builds the mesh with a per-node switch factory: `make_switch`
-    /// receives the global node index, so callers can configure each
-    /// switch individually (notably to inject node-specific faults).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the switches are too small for the reserved direction
-    /// ports, or disagree in radix.
-    pub fn with_switches(cfg: MeshSimConfig, mut make_switch: impl FnMut(usize) -> F) -> Self {
-        let nodes = cfg.cols * cfg.rows;
-        let switches: Vec<F> = (0..nodes).map(&mut make_switch).collect();
-        let radix = switches[0].radix();
-        assert!(
-            switches.iter().all(|s| s.radix() == radix),
-            "all mesh switches must share a radix"
-        );
-        let geo = MeshGeometry::new(
-            cfg.cols,
-            cfg.rows,
-            cfg.ports_per_direction,
-            radix,
-            cfg.port_map,
-        );
-        let total_cores = geo.total_cores();
-        Self {
-            engine: NodeEngine::new(&switches, cfg.vcs, cfg.schedule, false),
-            switches,
-            rngs: (0..total_cores)
-                .map(|core| StdRng::seed_from_u64(derive_stream_seed(cfg.seed, core as u64)))
-                .collect(),
-            seqs: vec![0; total_cores],
-            now: 0,
-            geo,
-            cfg,
-        }
-    }
-
-    /// Total cores attached to the mesh.
-    pub fn total_cores(&self) -> usize {
-        self.geo.total_cores()
-    }
-
-    /// Cores per mesh node.
-    pub fn cores_per_node(&self) -> usize {
-        self.geo.cores_per_node()
-    }
-
-    /// Total fault events logged across all mesh switches.
-    pub fn fault_event_count(&self) -> u64 {
-        self.switches
-            .iter()
-            .map(|s| s.fault_log().map_or(0, |log| log.total()))
-            .sum()
-    }
-
-    /// Sum over cycles of the number of routers doing per-cycle work
-    /// (the active `work` set) — divide by `cycles * nodes` for the
-    /// mean active-router occupancy.
-    pub fn active_node_cycles(&self) -> u64 {
-        self.engine.active_node_cycles()
-    }
-
-    /// Metadata-integrity violations recorded so far (a buffered packet
-    /// whose arena slot went missing — formerly a process abort).
-    pub fn invariant_violations(&self) -> &[InvariantViolation] {
-        self.engine.violations()
-    }
-
-    /// Total invariant violations observed, including beyond the
-    /// record cap.
-    pub fn invariant_violation_count(&self) -> u64 {
-        self.engine.violation_count()
-    }
-
-    /// A fresh all-zero report shaped for this simulation — pair with
-    /// [`run_cycles`](Self::run_cycles) for externally driven cycle
-    /// loops.
-    pub fn empty_report(&self) -> MeshReport {
-        MeshReport::empty(self.cfg.measure, self.total_cores())
-    }
-
-    /// Advances exactly `cycles` cycles without draining — the
-    /// benchmarking entry point, mirroring
-    /// [`ShardedSim::run_cycles`](crate::shard::ShardedSim::run_cycles).
-    pub fn run_cycles(
-        &mut self,
-        pattern: &mut dyn TrafficPattern,
-        report: &mut MeshReport,
-        cycles: u64,
-    ) {
-        for _ in 0..cycles {
-            self.step(pattern, report);
-        }
-    }
-
-    /// Runs the configured warmup + measurement + drain and reports.
-    pub fn run(&mut self, pattern: &mut dyn TrafficPattern) -> MeshReport {
-        let mut report = MeshReport::empty(self.cfg.measure, self.total_cores());
-        for _ in 0..self.cfg.warmup + self.cfg.measure {
-            self.step(pattern, &mut report);
-        }
-        let mut drained = 0;
-        while report.completed_measured < report.injected_measured && drained < self.cfg.drain {
-            self.step(pattern, &mut report);
-            drained += 1;
-        }
-        report
-    }
-
-    fn in_window(&self) -> bool {
-        self.now >= self.cfg.warmup && self.now < self.cfg.warmup + self.cfg.measure
-    }
-
-    fn step(&mut self, pattern: &mut dyn TrafficPattern, report: &mut MeshReport) {
-        let in_window = self.in_window();
-
-        // (a) Progress transfers: completions either eject (deliver) or
-        // forward into the neighbour's input buffer; the release beat
-        // follows one cycle later, as in the single-switch model. This
-        // mesh is unsharded, so every wire stays local.
-        phase_transfers(
-            &mut self.engine,
-            &mut self.switches,
-            &self.geo,
-            0,
-            report,
-            in_window,
-            self.now,
-            |_, _, _, _| unreachable!("unsharded mesh has no shard boundaries"),
-        );
-
-        // (b) Injection at core ports: each core draws from its own
-        // position-derived RNG stream and numbers its own packets
-        // (`core << 32 | seq`), so injection at any core is independent
-        // of every other core's activity.
-        for core in 0..self.total_cores() {
-            let Some(dst) = pattern.next(
-                InputId::new(core),
-                self.cfg.injection_rate,
-                &mut self.rngs[core],
-            ) else {
-                continue;
-            };
-            let node = self.geo.node_of_core(core);
-            let input_port = self.geo.core_port(core % self.geo.cores_per_node());
-            let seq = self.seqs[core];
-            self.seqs[core] += 1;
-            debug_assert!(seq < 1 << 32, "per-core packet sequence overflow");
-            let packet = Packet {
-                id: ((core as u64) << 32) | seq,
-                src: InputId::new(input_port),
-                dst: OutputId::new(dst.index()), // final core id, re-routed per hop
-                len_flits: self.cfg.packet_len_flits,
-                birth_cycle: self.now,
-                measured: in_window,
-                handle: PacketHandle::NONE, // assigned by the arena below
-            };
-            if in_window {
-                report.injected_measured += 1;
-            }
-            self.engine.admit_new(node, input_port, packet, 0);
-        }
-
-        // (c) Buffer, select, arbitrate and launch per active node.
-        phase_arbitrate(
-            &mut self.engine,
-            &mut self.switches,
-            &self.geo,
-            0,
-            self.cfg.link_buffer_packets,
-            self.cfg.packet_len_flits,
-            |_, _| unreachable!("unsharded mesh reads every occupancy locally"),
-        );
-
-        self.now += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traffic::{Custom, UniformRandom};
-    use hirise_core::{HiRiseConfig, HiRiseSwitch};
+    use crate::shard::{sharded_mesh, ShardedSim};
+    use crate::traffic::{Custom, TrafficPattern, UniformRandom};
+    use hirise_core::{HiRiseConfig, HiRiseSwitch, InputId};
 
-    fn small_mesh(cfg: MeshSimConfig) -> MeshSim<HiRiseSwitch> {
+    fn small_mesh(
+        cfg: MeshSimConfig,
+        pattern: impl TrafficPattern + 'static,
+    ) -> ShardedSim<HiRiseSwitch, MeshGeometry> {
         // 16-radix Hi-Rise switches over 2 layers; 2 ports per direction
         // leaves 8 cores per node.
         let switch_cfg = HiRiseConfig::builder(16, 2)
             .channel_multiplicity(2)
             .build()
             .expect("valid configuration");
-        MeshSim::new(cfg, move || HiRiseSwitch::new(&switch_cfg))
+        let mut pattern = Some(pattern);
+        sharded_mesh(
+            &cfg,
+            16,
+            1,
+            move |_node| HiRiseSwitch::new(&switch_cfg),
+            move || Box::new(pattern.take().expect("one shard")) as Box<dyn TrafficPattern>,
+        )
     }
 
     #[test]
     fn geometry_is_consistent() {
-        let sim = small_mesh(MeshSimConfig::new(3, 2, 2));
-        assert_eq!(sim.cores_per_node(), 8);
-        assert_eq!(sim.total_cores(), 48);
+        let sim = small_mesh(MeshSimConfig::new(3, 2, 2), UniformRandom::new(48));
+        assert_eq!(sim.topology().cores_per_node(), 8);
+        assert_eq!(sim.total_endpoints(), 48);
     }
 
     #[test]
     fn single_packet_crosses_the_mesh() {
-        let mut sim = small_mesh(
-            MeshSimConfig::new(3, 2, 2)
-                .warmup(0)
-                .measure(200)
-                .drain(200),
-        );
         // One packet from core 0 (node 0) to core 47 (node 5).
         let mut fired = false;
-        let mut pattern = Custom::new("single", move |input: InputId, _r, _rng: &mut _| {
+        let pattern = Custom::new("single", move |input: InputId, _r, _rng: &mut _| {
             if input.index() == 0 && !fired {
                 fired = true;
                 Some(OutputId::new(47))
@@ -752,7 +538,14 @@ mod tests {
                 None
             }
         });
-        let report = sim.run(&mut pattern);
+        let report = small_mesh(
+            MeshSimConfig::new(3, 2, 2)
+                .warmup(0)
+                .measure(200)
+                .drain(200),
+            pattern,
+        )
+        .run();
         assert_eq!(report.completed_measured(), 1);
         // Node 0 -> 1 -> 2 -> 5: 3 switch hops... XY: (0,0) to (2,1):
         // East, East, South, then eject = 4 traversals.
@@ -766,14 +559,8 @@ mod tests {
 
     #[test]
     fn same_node_traffic_stays_local() {
-        let mut sim = small_mesh(
-            MeshSimConfig::new(2, 2, 2)
-                .warmup(0)
-                .measure(100)
-                .drain(100),
-        );
         let mut fired = false;
-        let mut pattern = Custom::new("local", move |input: InputId, _r, _rng: &mut _| {
+        let pattern = Custom::new("local", move |input: InputId, _r, _rng: &mut _| {
             if input.index() == 1 && !fired {
                 fired = true;
                 Some(OutputId::new(3)) // same node 0
@@ -781,22 +568,29 @@ mod tests {
                 None
             }
         });
-        let report = sim.run(&mut pattern);
+        let report = small_mesh(
+            MeshSimConfig::new(2, 2, 2)
+                .warmup(0)
+                .measure(100)
+                .drain(100),
+            pattern,
+        )
+        .run();
         assert_eq!(report.completed_measured(), 1);
         assert_eq!(report.avg_hops(), 1.0);
     }
 
     #[test]
     fn low_load_uniform_random_is_stable() {
-        let mut sim = small_mesh(
+        let report = small_mesh(
             MeshSimConfig::new(2, 2, 2)
                 .injection_rate(0.01)
                 .warmup(500)
                 .measure(4_000)
                 .drain(6_000),
-        );
-        let mut pattern = UniformRandom::new(32);
-        let report = sim.run(&mut pattern);
+            UniformRandom::new(32),
+        )
+        .run();
         assert!(
             report.is_stable(),
             "{} of {} completed",
@@ -809,15 +603,15 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = |seed| {
-            let mut sim = small_mesh(
+            let report = small_mesh(
                 MeshSimConfig::new(2, 2, 2)
                     .injection_rate(0.02)
                     .warmup(100)
                     .measure(1_000)
                     .seed(seed),
-            );
-            let mut pattern = UniformRandom::new(32);
-            let report = sim.run(&mut pattern);
+                UniformRandom::new(32),
+            )
+            .run();
             (report.completed_measured(), report.latency_sum)
         };
         assert_eq!(run(9), run(9));
@@ -871,19 +665,13 @@ mod tests {
 
     #[test]
     fn layer_aware_mesh_delivers_traffic() {
-        let switch_cfg = HiRiseConfig::builder(16, 2)
-            .channel_multiplicity(2)
-            .build()
-            .expect("valid configuration");
         let cfg = MeshSimConfig::new(3, 2, 2)
             .port_map(MeshPortMap::LayerAware { layers: 2 })
             .injection_rate(0.01)
             .warmup(500)
             .measure(3_000)
             .drain(6_000);
-        let mut sim = MeshSim::new(cfg, move || HiRiseSwitch::new(&switch_cfg));
-        let mut pattern = UniformRandom::new(sim.total_cores());
-        let report = sim.run(&mut pattern);
+        let report = small_mesh(cfg, UniformRandom::new(48)).run();
         assert!(report.is_stable());
         assert!(report.avg_hops() >= 1.0);
     }
@@ -893,6 +681,12 @@ mod tests {
         // Funnel traffic from every core to one corner node; with
         // credit-based links the interior buffers must never exceed the
         // advertised depth (the packets pile up at the sources instead).
+        let cores = 9 * 8;
+        let pattern = Custom::new("corner", move |_input: InputId, rate, rng: &mut _| {
+            use hirise_core::rng::Rng;
+            rng.gen_bool(f64::clamp(rate, 0.0, 1.0))
+                .then(|| OutputId::new(cores - 1))
+        });
         let mut sim = small_mesh(
             MeshSimConfig::new(3, 3, 2)
                 .injection_rate(0.05)
@@ -900,14 +694,9 @@ mod tests {
                 .warmup(0)
                 .measure(2_000)
                 .drain(0),
+            pattern,
         );
-        let cores = sim.total_cores();
-        let mut pattern = Custom::new("corner", move |_input: InputId, rate, rng: &mut _| {
-            use hirise_core::rng::Rng;
-            rng.gen_bool(f64::clamp(rate, 0.0, 1.0))
-                .then(|| OutputId::new(cores - 1))
-        });
-        let report = sim.run(&mut pattern);
+        let report = sim.run();
         // The run should deliver something and never violate the credit
         // invariant (checked below on the final state).
         assert!(report.accepted_rate() > 0.0);
@@ -915,7 +704,7 @@ mod tests {
             let p = 2 * 4; // link-fed ports are the first 4*p
             for input in 0..p {
                 assert!(
-                    sim.engine.port(node, input).occupancy() <= 2,
+                    sim.occupancy(node, input) <= 2,
                     "node {node} port {input} overflowed"
                 );
             }
@@ -925,15 +714,16 @@ mod tests {
     #[test]
     fn congestion_raises_latency() {
         let latency_at = |rate: f64| {
-            let mut sim = small_mesh(
+            small_mesh(
                 MeshSimConfig::new(2, 2, 2)
                     .injection_rate(rate)
                     .warmup(500)
                     .measure(3_000)
                     .drain(8_000),
-            );
-            let mut pattern = UniformRandom::new(32);
-            sim.run(&mut pattern).avg_latency_cycles()
+                UniformRandom::new(32),
+            )
+            .run()
+            .avg_latency_cycles()
         };
         assert!(latency_at(0.02) > latency_at(0.002));
     }

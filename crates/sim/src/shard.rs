@@ -21,13 +21,13 @@
 //!    and launches for its own nodes, then publishes its injected /
 //!    completed totals. *Barrier.*
 //!
-//! The per-node state and the heavy phases live in `crate::engine`,
-//! shared with the unsharded [`MeshSim`](crate::mesh_sim::MeshSim)
-//! reference: SoA packet arenas instead of per-node hash maps, and
-//! active-set scheduling so each shard's phases iterate only its nodes
-//! that actually hold traffic. Mailboxes carry an [`AtomicBool`] flag,
-//! so the per-pair boundary exchange costs one relaxed load — no lock
-//! — for every pair with no traffic this cycle.
+//! The per-node state and the heavy phases live in `crate::engine`:
+//! one [`SwitchCycle`](crate::SwitchCycle) per router (the switch cycle
+//! of the single-switch simulator), SoA packet arenas instead of
+//! per-node hash maps, and active-set scheduling so each shard's phases
+//! iterate only its nodes that actually hold traffic. Mailboxes carry an
+//! [`AtomicBool`] flag, so the per-pair boundary exchange costs one
+//! relaxed load — no lock — for every pair with no traffic this cycle.
 //!
 //! Determinism is structural, not incidental:
 //!
@@ -47,10 +47,11 @@
 //!   bit-for-bit.
 //!
 //! The identity tests in `tests/shard_identity.rs` pin all of this:
-//! sharded telemetry at 1, 2 and 8 shards is byte-identical to the
-//! unsharded [`MeshSim`](crate::mesh_sim::MeshSim) reference, faults
-//! included; `tests/net_schedule.rs` additionally pins the active-set
-//! schedule byte-identical to the dense one at every shard count.
+//! sharded telemetry at 2 and 8 shards is byte-identical to the
+//! one-shard reference, faults included, and a one-router topology
+//! reproduces the single-switch [`NetworkSim`](crate::NetworkSim);
+//! `tests/net_schedule.rs` additionally pins the active-set schedule
+//! byte-identical to the dense one at every shard count.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -89,7 +90,8 @@ pub trait ShardTopology: Sync {
     /// across parallel ports where the topology has them.
     fn route(&self, node: usize, dst_endpoint: usize, lane: usize) -> OutputId;
     /// The (node, input port) the given output port of `node` feeds, or
-    /// `None` if the output ejects locally (or is unused).
+    /// `None` if the output ejects locally (or is unused). A wire never
+    /// feeds its own node.
     fn wire(&self, node: usize, output: OutputId) -> Option<(usize, usize)>;
     /// Whether link-fed input ports advertise bounded buffering that
     /// senders must credit-check. Meshes do (XY routing keeps them
@@ -311,8 +313,7 @@ struct Totals {
 /// A sharded cycle-accurate simulation of a [`ShardTopology`], running
 /// one worker thread per shard (inline when there is only one shard).
 ///
-/// Telemetry is byte-identical at any shard count, and — for the mesh —
-/// byte-identical to the unsharded [`MeshSim`](crate::mesh_sim::MeshSim)
+/// Telemetry is byte-identical at any shard count; one shard is the
 /// reference.
 pub struct ShardedSim<F, T> {
     topo: T,
@@ -390,6 +391,10 @@ impl<F: Fabric, T: ShardTopology> ShardedSim<F, T> {
                     let Some((dst, input)) = topo.wire(node, OutputId::new(output)) else {
                         continue;
                     };
+                    assert_ne!(
+                        dst, node,
+                        "output {output} of node {node} feeds its own node"
+                    );
                     let dst_shard = shard_of(&starts, dst);
                     if dst_shard == src_shard {
                         continue;
@@ -506,8 +511,17 @@ impl<F: Fabric, T: ShardTopology> ShardedSim<F, T> {
         self.now
     }
 
+    /// Packets held by input `input` of node `node`.
+    #[cfg(test)]
+    pub(crate) fn occupancy(&self, node: usize, input: usize) -> usize {
+        let shard = &self.shards[shard_of(&self.starts, node)];
+        shard
+            .engine
+            .occupancy((node - shard.node_lo) * self.topo.radix() + input)
+    }
+
     /// Runs the configured warmup + measurement + drain and reports.
-    /// Call once on a fresh instance (like `MeshSim::run`).
+    /// Call once on a fresh instance.
     pub fn run(&mut self) -> MeshReport {
         let fixed = self.cfg.warmup + self.cfg.measure;
         self.execute(fixed, Some(self.cfg.drain));
@@ -606,9 +620,9 @@ impl<F: Fabric, T: ShardTopology> ShardedSim<F, T> {
     }
 }
 
-/// Convenience constructor: a sharded mesh simulation equivalent to
-/// `MeshSim::with_switches(cfg, make_switch)` driven by `make_pattern`
-/// traffic, split over `shards` threads.
+/// Convenience constructor: the mesh simulation `cfg` describes, with
+/// `make_switch(node)` as each node's `radix`-port switch, driven by
+/// `make_pattern` traffic and split over `shards` threads.
 pub fn sharded_mesh<F: Fabric>(
     cfg: &MeshSimConfig,
     radix: usize,
@@ -730,8 +744,7 @@ fn worker<F: Fabric, T: ShardTopology>(
             let idx = st.engine.touched[i] as usize;
             let slot = st.publish_slot[idx];
             if slot != u32::MAX {
-                frontier.values[slot as usize]
-                    .store(st.engine.ports[idx].occupancy(), Ordering::Relaxed);
+                frontier.values[slot as usize].store(st.engine.occupancy(idx), Ordering::Relaxed);
             }
         }
         st.engine.touched.clear();
@@ -748,7 +761,6 @@ fn worker<F: Fabric, T: ShardTopology>(
                 topo,
                 node_lo,
                 cfg.link_buffer_packets,
-                cfg.packet_len_flits,
                 |next_node, next_input| {
                     frontier.values[frontier.slot_of[&(next_node, next_input)]]
                         .load(Ordering::Relaxed)

@@ -1,38 +1,52 @@
-//! The single-switch cycle: input ports, in-flight transfers and the
+//! The switch cycle: input ports, in-flight transfers and the
 //! arbitration step of one switch, kept in bitmaps and reused scratch so
 //! a steady-state cycle touches only busy inputs and never allocates.
-//! [`NetworkSim`](crate::NetworkSim) drives it with synthetic traffic and
-//! the many-core simulator's `SwitchNet` with tile-to-tile messages; each
-//! owns its fabric, injects between cycles, and calls
-//! [`transfers`](SwitchCycle::transfers) then
-//! [`arbitrate`](SwitchCycle::arbitrate) once per cycle.
+//! It is the only per-switch cycle in the crate:
+//! [`NetworkSim`](crate::NetworkSim) drives one with synthetic traffic,
+//! the many-core simulator's `SwitchNet` one with tile-to-tile messages,
+//! and the network engine behind [`ShardedSim`](crate::shard::ShardedSim)
+//! one per router. Each driver owns its fabrics, injects between cycles,
+//! and calls [`transfers`](SwitchCycle::transfers) then
+//! [`arbitrate`](SwitchCycle::arbitrate) once per cycle; the network
+//! engine splits arbitration into `collect` and `commit` around its own
+//! `arbitrate_into` call, routing each candidate as it is collected.
 
 use crate::packet::Packet;
 use crate::port::InputPort;
-use hirise_core::{Fabric, Grant, InputId, Request};
+use hirise_core::{Fabric, Grant, InputId, OutputId, Request};
 
 /// Input ports and transfer state of one switch.
 #[derive(Debug)]
 pub struct SwitchCycle {
     /// The input ports, indexed by input.
     pub(crate) ports: Vec<InputPort>,
-    /// Flit beats remaining per active input. The packet stays in
-    /// its port's active VC until the count reaches zero; the connection
-    /// releases on the *next* cycle (the output bus doubles as the
-    /// arbitration priority bus, so the release beat and a new
-    /// arbitration cannot share a cycle).
-    flits_remaining: Vec<u32>,
+    /// The transfer of each input, written when it requests and read
+    /// only once it wins.
+    transfers: Vec<Transfer>,
     /// Bitmap over inputs: a transfer (or its release beat) is in flight.
     active_transfers: Vec<u64>,
     /// Bitmap over inputs: the port holds a packet (source queue or VC),
     /// so the fill/select pass skips idle ports without touching them.
     port_occupied: Vec<u64>,
-    /// Requests presented by the last [`arbitrate`](Self::arbitrate), in
-    /// ascending input order, and the grants the fabric returned.
+    /// Requests presented by the last arbitration, in ascending input
+    /// order, and the grants the fabric returned.
     pub(crate) requests: Vec<Request>,
     pub(crate) grants: Vec<Grant>,
     /// Bitmap over inputs: the input won this cycle.
     granted: Vec<u64>,
+}
+
+/// An input's transfer through the switch.
+#[derive(Clone, Copy, Debug, Default)]
+struct Transfer {
+    /// Flit beats remaining. The packet stays in its port's active VC
+    /// until the count reaches zero; the connection releases on the
+    /// *next* cycle (the output bus doubles as the arbitration priority
+    /// bus, so the release beat and a new arbitration cannot share a
+    /// cycle).
+    flits: u32,
+    /// The output requested.
+    output: u32,
 }
 
 impl SwitchCycle {
@@ -46,7 +60,7 @@ impl SwitchCycle {
         let words = radix.div_ceil(64);
         Self {
             ports: (0..radix).map(|_| InputPort::new(vcs)).collect(),
-            flits_remaining: vec![0; radix],
+            transfers: vec![Transfer::default(); radix],
             active_transfers: vec![0; words],
             port_occupied: vec![0; words],
             requests: Vec::with_capacity(radix),
@@ -57,21 +71,31 @@ impl SwitchCycle {
 
     /// Queues `packet` at its source port, `packet.src`.
     pub fn inject(&mut self, packet: Packet) {
-        let input = packet.src.index();
+        self.enqueue(packet.src.index(), packet);
+    }
+
+    /// Queues `packet` at `input`, which in a network of switches is the
+    /// port its last hop arrived on rather than its source.
+    pub(crate) fn enqueue(&mut self, input: usize, packet: Packet) {
         self.ports[input].inject(packet);
         self.port_occupied[input / 64] |= 1u64 << (input % 64);
     }
 
+    /// Whether a transfer or its release beat is still in flight.
+    pub(crate) fn is_moving(&self) -> bool {
+        self.active_transfers.iter().any(|&word| word != 0)
+    }
+
     /// Phase one: advances every in-flight transfer by one flit beat.
-    /// A transfer whose last beat lands calls `deliver(input, vc,
-    /// packet)` with the packet that left its VC; a transfer that
-    /// completed on the previous cycle spends this one on its release
-    /// beat, freeing the connection in `fabric`. Inputs are visited in
-    /// ascending order.
+    /// A transfer whose last beat lands calls `deliver(input, vc, output,
+    /// packet)` with the packet that left its VC and the output it was
+    /// granted; a transfer that completed on the previous cycle spends
+    /// this one on its release beat, freeing the connection in `fabric`.
+    /// Inputs are visited in ascending order.
     pub fn transfers<F: Fabric>(
         &mut self,
         fabric: &mut F,
-        mut deliver: impl FnMut(usize, usize, Packet),
+        mut deliver: impl FnMut(usize, usize, OutputId, Packet),
     ) {
         for word_idx in 0..self.active_transfers.len() {
             let mut word = self.active_transfers[word_idx];
@@ -79,17 +103,17 @@ impl SwitchCycle {
                 let bit = word.trailing_zeros() as usize;
                 word &= word - 1;
                 let input = word_idx * 64 + bit;
-                let rem = &mut self.flits_remaining[input];
-                if *rem > 0 {
-                    *rem -= 1;
-                    if *rem == 0 {
+                let transfer = &mut self.transfers[input];
+                if transfer.flits > 0 {
+                    transfer.flits -= 1;
+                    if transfer.flits == 0 {
                         let port = &mut self.ports[input];
                         let vc = port.active_vc().expect("completing port has an active VC");
                         let packet = port.complete_transfer();
                         if port.is_idle() {
                             self.port_occupied[word_idx] &= !(1u64 << bit);
                         }
-                        deliver(input, vc, packet);
+                        deliver(input, vc, OutputId::new(transfer.output as usize), packet);
                     }
                 } else {
                     // Release beat: the output bus becomes available for
@@ -107,12 +131,23 @@ impl SwitchCycle {
     /// fabric arbitrates every cycle, even with no requests, so fabrics
     /// that tick when idle (flaky faults) keep their own clock.
     pub fn arbitrate<F: Fabric>(&mut self, fabric: &mut F) {
+        self.collect(|_, packet| Some(packet.dst));
+        fabric.arbitrate_into(&self.requests, &mut self.grants);
+        self.commit();
+    }
+
+    /// First half of [`arbitrate`](Self::arbitrate): fills VCs and
+    /// selects a candidate on every occupied port that is not
+    /// transferring, and asks `route(input, candidate)` for the output to
+    /// request. `None` (no credit downstream) revokes the candidate;
+    /// `Some(output)` queues a request in `requests`.
+    pub(crate) fn collect(&mut self, mut route: impl FnMut(usize, &Packet) -> Option<OutputId>) {
         // Fill and select in a single pass over the occupied ports: the
         // two only interact within a port, so interleaving them across
         // ports is equivalent, and a skipped port holds no packet, for
-        // which both are no-ops. Only the destination and length are read
-        // here; the winning packets stay in their VCs, so losing
-        // candidates never cost a packet copy.
+        // which both are no-ops. Only the route inputs and the length
+        // are read here; the winning packets stay in their VCs, so
+        // losing candidates never cost a packet copy.
         self.requests.clear();
         for word_idx in 0..self.port_occupied.len() {
             let mut word = self.port_occupied[word_idx];
@@ -125,21 +160,35 @@ impl SwitchCycle {
                 if self.active_transfers[word_idx] >> bit & 1 == 1 {
                     continue;
                 }
-                if let Some(packet) = port.select_candidate() {
-                    // Read only if the input wins and turns active.
-                    self.flits_remaining[input] = packet.len_flits as u32;
-                    self.requests
-                        .push(Request::new(InputId::new(input), packet.dst));
+                let Some(packet) = port.select_candidate() else {
+                    continue;
+                };
+                match route(input, packet) {
+                    Some(output) => {
+                        self.transfers[input] = Transfer {
+                            flits: packet.len_flits as u32,
+                            output: output.index() as u32,
+                        };
+                        self.requests
+                            .push(Request::new(InputId::new(input), output));
+                    }
+                    None => port.revoke_candidate(),
                 }
             }
         }
-        fabric.arbitrate_into(&self.requests, &mut self.grants);
-        // Start transfers for the winners; revoke the rest.
+    }
+
+    /// Second half of [`arbitrate`](Self::arbitrate), once the fabric
+    /// has answered `requests` in `grants`: starts a transfer for every
+    /// granted request and revokes the rest. Returns the transfers
+    /// started.
+    pub(crate) fn commit(&mut self) -> usize {
         self.granted.fill(0);
         for grant in &self.grants {
             let input = grant.input.index();
             self.granted[input / 64] |= 1u64 << (input % 64);
         }
+        let mut started = 0;
         for request in &self.requests {
             let input = request.input.index();
             let (word, bit) = (input / 64, 1u64 << (input % 64));
@@ -147,10 +196,12 @@ impl SwitchCycle {
             if self.granted[word] & bit != 0 {
                 port.confirm_grant();
                 self.active_transfers[word] |= bit;
+                started += 1;
             } else {
                 port.revoke_candidate();
             }
         }
+        started
     }
 }
 
@@ -176,7 +227,9 @@ mod tests {
     fn run(cycle: &mut SwitchCycle, fabric: &mut Switch2d, cycles: u64) -> Vec<(u64, usize, u64)> {
         let mut delivered = Vec::new();
         for now in 0..cycles {
-            cycle.transfers(fabric, |input, _vc, p| delivered.push((now, input, p.id)));
+            cycle.transfers(fabric, |input, _vc, _output, p| {
+                delivered.push((now, input, p.id))
+            });
             cycle.arbitrate(fabric);
         }
         delivered
@@ -209,7 +262,7 @@ mod tests {
         cycle.inject(packet(0, 6, 1, 4));
         cycle.inject(packet(1, 4, 1, 4));
         cycle.inject(packet(2, 0, 3, 4));
-        cycle.transfers(&mut fabric, |_, _, _| unreachable!("nothing in flight"));
+        cycle.transfers(&mut fabric, |_, _, _, _| unreachable!("nothing in flight"));
         cycle.arbitrate(&mut fabric);
         let inputs: Vec<usize> = cycle.requests.iter().map(|r| r.input.index()).collect();
         assert_eq!(

@@ -15,7 +15,7 @@ use hirise_core::{
     ArbitrationScheme, Fabric, Fault, FaultSite, FoldedSwitch, HiRiseConfig, HiRiseSwitch,
     MatchingSwitch, Switch2d,
 };
-use hirise_sim::mesh_sim::{MeshSim, MeshSimConfig};
+use hirise_sim::mesh_sim::MeshSimConfig;
 use hirise_sim::shard::sharded_mesh;
 use hirise_sim::traffic::{TrafficPattern, UniformRandom};
 use hirise_sim::{NetworkSim, SimConfig};
@@ -160,9 +160,10 @@ fn net_switch_cfg() -> HiRiseConfig {
 }
 
 /// The network-level hot loop must also be allocation-free at steady
-/// state: the packet arena, per-node scratch (worklists, candidate and
-/// request buffers), active-set bitsets and source queues all reach
-/// their peak capacity during warmup and are reused thereafter.
+/// state: the packet arena, per-router switch cycles and engine scratch
+/// (worklists, request buffers, forwards), active-set bitsets and
+/// source queues all reach their peak capacity during warmup and are
+/// reused thereafter.
 ///
 /// A warmup window longer than the run keeps every packet unmeasured,
 /// so deliveries never touch the growable latency histogram. Injection
@@ -171,35 +172,12 @@ fn net_switch_cfg() -> HiRiseConfig {
 /// allocation count — are deterministic: the load sits well inside the
 /// mesh's stable region (its 2-ports-per-direction bisection saturates
 /// near 0.03/core), so every buffer plateaus during warmup.
-#[test]
-fn steady_state_mesh_cycles_allocate_nothing() {
-    let cfg = MeshSimConfig::new(4, 4, 2)
-        .injection_rate(0.02)
-        .warmup(u64::MAX / 2)
-        .seed(0xA110_C8ED);
-    let switch_cfg = net_switch_cfg();
-    let mut sim = MeshSim::new(cfg, || HiRiseSwitch::new(&switch_cfg));
-    let mut pattern = UniformRandom::new(sim.total_cores());
-    let mut report = sim.empty_report();
-    sim.run_cycles(&mut pattern, &mut report, WARMUP_CYCLES);
-
-    ALLOCATIONS.set(0);
-    COUNTING.set(true);
-    sim.run_cycles(&mut pattern, &mut report, COUNTED_CYCLES);
-    COUNTING.set(false);
-    let count = ALLOCATIONS.get();
-    assert_eq!(
-        count, 0,
-        "mesh: {count} heap allocations across {COUNTED_CYCLES} steady-state cycles"
-    );
-}
-
-/// Same bar for the sharded engine. The allocation counter is
-/// thread-local, so this pins the single-shard configuration, which
-/// runs the worker loop inline on the calling thread — the per-shard
-/// state (mailboxes, totals, frontier) is identical at higher shard
-/// counts, and `tests/net_schedule.rs` pins those byte-identical to
-/// this one.
+///
+/// The allocation counter is thread-local, so this pins the
+/// single-shard configuration, which runs the worker loop inline on the
+/// calling thread — the per-shard state (mailboxes, totals, frontier)
+/// is identical at higher shard counts, and `tests/net_schedule.rs`
+/// pins those byte-identical to this one.
 #[test]
 fn steady_state_sharded_cycles_allocate_nothing() {
     let cfg = MeshSimConfig::new(4, 4, 2)

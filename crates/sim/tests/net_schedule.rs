@@ -12,7 +12,7 @@
 use hirise_core::rng::derive_stream_seed;
 use hirise_core::{Fabric, Fault, FaultSite, HiRiseConfig, HiRiseSwitch};
 use hirise_sim::dragonfly::{DragonflyConfig, DragonflyGeometry};
-use hirise_sim::mesh_sim::{MeshReport, MeshSim, MeshSimConfig};
+use hirise_sim::mesh_sim::{MeshReport, MeshSimConfig};
 use hirise_sim::shard::{sharded_mesh, ShardedConfig, ShardedSim};
 use hirise_sim::traffic::{TrafficPattern, UniformRandom};
 use hirise_sim::NetSchedule;
@@ -62,14 +62,14 @@ fn faulty_switch(node: usize, seed: u64) -> HiRiseSwitch {
 
 fn run_mesh(schedule: NetSchedule) -> (MeshReport, u64, u64) {
     let cfg = mesh_cfg(schedule);
-    let mut node = 0;
-    let mut sim = MeshSim::new(cfg, move || {
-        let switch = faulty_switch(node, 0x5C_11ED);
-        node += 1;
-        switch
-    });
-    let mut pattern = UniformRandom::new(sim.total_cores());
-    let report = sim.run(&mut pattern);
+    let mut sim = sharded_mesh(
+        &cfg,
+        16,
+        1,
+        |node| faulty_switch(node, 0x5C_11ED),
+        || Box::new(UniformRandom::new(64)) as Box<dyn TrafficPattern>,
+    );
+    let report = sim.run();
     (report, sim.active_node_cycles(), sim.fault_event_count())
 }
 

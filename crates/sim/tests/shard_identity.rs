@@ -1,17 +1,21 @@
 //! Twin-instance identity tests for the sharded engine: the whole
 //! point of `crate::shard` is that shard count is an *execution* knob,
-//! never a *results* knob. Every test here compares complete
-//! [`MeshReport`]s (counters and latency histogram) with `==`.
+//! never a *results* knob. Every shard-count test here compares
+//! complete [`MeshReport`]s (counters and latency histogram) with `==`
+//! against the one-shard reference; the one-router twins compare the
+//! engine's router cycle with the single-switch `NetworkSim`.
 
-use hirise_core::rng::derive_stream_seed;
-use hirise_core::{Fabric, Fault, FaultSite, HiRiseConfig, HiRiseSwitch};
+use hirise_core::rng::{derive_stream_seed, StdRng};
+use hirise_core::{Fabric, Fault, FaultSite, HiRiseConfig, HiRiseSwitch, Switch2d};
 use hirise_core::{InputId, OutputId};
 use hirise_sim::dragonfly::{DragonflyConfig, DragonflyGeometry};
-use hirise_sim::mesh_sim::{MeshReport, MeshSim, MeshSimConfig};
-use hirise_sim::shard::{sharded_mesh, ShardedConfig, ShardedSim};
+use hirise_sim::mesh_sim::{MeshPortMap, MeshReport, MeshSimConfig};
+use hirise_sim::shard::{sharded_mesh, ShardTopology, ShardedConfig, ShardedSim};
 use hirise_sim::traffic::{Custom, TrafficPattern, UniformRandom};
+use hirise_sim::{NetSchedule, NetworkSim, SimConfig};
 
-const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
+/// Shard counts compared against the one-shard reference.
+const SHARD_COUNTS: [usize; 2] = [2, 8];
 
 fn switch16() -> HiRiseConfig {
     HiRiseConfig::builder(16, 2)
@@ -31,32 +35,34 @@ fn mesh_cfg() -> MeshSimConfig {
         .seed(0xC0FFEE)
 }
 
-fn mesh_reference(cfg: &MeshSimConfig) -> MeshReport {
+fn run_mesh(cfg: &MeshSimConfig, shards: usize) -> MeshReport {
     let switch_cfg = switch16();
-    let mut sim = MeshSim::new(cfg.clone(), move || HiRiseSwitch::new(&switch_cfg));
-    let mut pattern = UniformRandom::new(sim.total_cores());
-    sim.run(&mut pattern)
+    let mut sim = sharded_mesh(
+        cfg,
+        16,
+        shards,
+        |_node| HiRiseSwitch::new(&switch_cfg),
+        || Box::new(UniformRandom::new(64)) as Box<dyn TrafficPattern>,
+    );
+    sim.run()
 }
 
 #[test]
 fn sharded_mesh_is_byte_identical_to_unsharded() {
-    let cfg = mesh_cfg();
-    let reference = mesh_reference(&cfg);
-    assert!(reference.completed_measured() > 0, "nothing simulated");
-    for shards in SHARD_COUNTS {
-        let switch_cfg = switch16();
-        let mut sim = sharded_mesh(
-            &cfg,
-            16,
-            shards,
-            |_node| HiRiseSwitch::new(&switch_cfg),
-            || Box::new(UniformRandom::new(64)) as Box<dyn TrafficPattern>,
-        );
-        let report = sim.run();
-        assert_eq!(
-            report, reference,
-            "sharded mesh diverged from the reference at {shards} shards"
-        );
+    for map in [
+        MeshPortMap::Contiguous,
+        MeshPortMap::LayerAware { layers: 2 },
+    ] {
+        let cfg = mesh_cfg().port_map(map);
+        let reference = run_mesh(&cfg, 1);
+        assert!(reference.completed_measured() > 0, "nothing simulated");
+        for shards in SHARD_COUNTS {
+            assert_eq!(
+                run_mesh(&cfg, shards),
+                reference,
+                "{map:?} sharded mesh diverged from the reference at {shards} shards"
+            );
+        }
     }
 }
 
@@ -87,16 +93,14 @@ fn faulty_switch(node: usize, seed: u64) -> HiRiseSwitch {
 #[test]
 fn sharded_mesh_with_faults_is_byte_identical() {
     let cfg = mesh_cfg().seed(0xFA_117);
-    let reference = {
-        let mut node = 0;
-        let mut sim = MeshSim::new(cfg.clone(), move || {
-            let switch = faulty_switch(node, 0xFA_117);
-            node += 1;
-            switch
-        });
-        let mut pattern = UniformRandom::new(sim.total_cores());
-        sim.run(&mut pattern)
-    };
+    let reference = sharded_mesh(
+        &cfg,
+        16,
+        1,
+        |node| faulty_switch(node, 0xFA_117),
+        || Box::new(UniformRandom::new(64)) as Box<dyn TrafficPattern>,
+    )
+    .run();
     assert!(reference.completed_measured() > 0, "nothing simulated");
     for shards in SHARD_COUNTS {
         let mut sim = sharded_mesh(
@@ -218,4 +222,136 @@ fn dragonfly_single_packets_follow_the_golden_path() {
             "{src}->{dst}: expected route {golden:?}"
         );
     }
+}
+
+/// One router whose every port is an endpoint: the network engine with
+/// nothing around the switch — no wires, no credit links, the identity
+/// route.
+struct OneRouter {
+    radix: usize,
+}
+
+impl ShardTopology for OneRouter {
+    fn nodes(&self) -> usize {
+        1
+    }
+
+    fn radix(&self) -> usize {
+        self.radix
+    }
+
+    fn endpoints_per_node(&self) -> usize {
+        self.radix
+    }
+
+    fn endpoint_port(&self, local: usize) -> usize {
+        local
+    }
+
+    fn route(&self, _node: usize, dst_endpoint: usize, _lane: usize) -> OutputId {
+        OutputId::new(dst_endpoint)
+    }
+
+    fn wire(&self, _node: usize, _output: OutputId) -> Option<(usize, usize)> {
+        None
+    }
+
+    fn credit_links(&self) -> bool {
+        false
+    }
+
+    fn name(&self) -> &'static str {
+        "one-router"
+    }
+}
+
+/// Traffic that depends only on per-input call counters, never on the
+/// RNG, so two drivers with different RNG streams inject identically:
+/// each input injects on about one call in eight, towards a hashed
+/// destination (outputs collide, so arbitration has losers).
+fn counter_pattern(radix: usize) -> impl TrafficPattern {
+    let mut calls = vec![0u64; radix];
+    Custom::new(
+        "counter",
+        move |input: InputId, _rate, _rng: &mut StdRng| {
+            let i = input.index();
+            let n = calls[i];
+            calls[i] += 1;
+            let h = (n ^ ((i as u64) << 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (h >> 61 == 0).then(|| OutputId::new((h >> 32) as usize % radix))
+        },
+    )
+}
+
+/// Cross-driver twin: the network engine's router cycle at one router
+/// must deliver exactly what the single-switch `NetworkSim` delivers
+/// for the same traffic — same counts, same latency histogram — under
+/// either per-cycle schedule.
+fn assert_one_router_matches_network_sim<F: Fabric + 'static>(
+    label: &str,
+    make_switch: impl Fn() -> F,
+) {
+    let radix = make_switch().radix();
+    let (warmup, measure, drain) = (200, 2_000, 2_000);
+    let reference = NetworkSim::new(
+        make_switch(),
+        counter_pattern(radix),
+        SimConfig::new(radix)
+            .warmup(warmup)
+            .measure(measure)
+            .drain(drain),
+    )
+    .run();
+    assert!(
+        reference.completed_measured() > 0,
+        "{label}: nothing simulated"
+    );
+    for schedule in [NetSchedule::Dense, NetSchedule::ActiveSet] {
+        let cfg = ShardedConfig::new()
+            .warmup(warmup)
+            .measure(measure)
+            .drain(drain)
+            .schedule(schedule);
+        let report = ShardedSim::new(
+            OneRouter { radix },
+            cfg,
+            1,
+            |_node| make_switch(),
+            || Box::new(counter_pattern(radix)) as Box<dyn TrafficPattern>,
+        )
+        .run();
+        let context = format!("{label} under {schedule:?}");
+        assert_eq!(
+            report.injected_measured(),
+            reference.injected_measured(),
+            "{context}"
+        );
+        assert_eq!(
+            report.completed_measured(),
+            reference.completed_measured(),
+            "{context}"
+        );
+        assert_eq!(
+            report.accepted_rate(),
+            reference.accepted_rate(),
+            "{context}"
+        );
+        assert_eq!(
+            report.latency_histogram(),
+            reference.latency_histogram(),
+            "{context}"
+        );
+        assert_eq!(report.avg_hops(), 1.0, "{context}");
+    }
+}
+
+#[test]
+fn one_router_engine_matches_network_sim_on_switch2d() {
+    assert_one_router_matches_network_sim("switch2d", || Switch2d::new(16));
+}
+
+#[test]
+fn one_router_engine_matches_network_sim_on_hirise() {
+    let switch_cfg = switch16();
+    assert_one_router_matches_network_sim("hirise", || HiRiseSwitch::new(&switch_cfg));
 }
