@@ -23,33 +23,10 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Splits `jobs` into half-open spans of consecutive replicate
-/// siblings — runs where both the job index and the replicate number
-/// increment by exactly one. Replicate is the innermost expansion
-/// axis, so such a run can only be one grid point's replicates; a
-/// checkpoint-resumed list with holes simply yields shorter spans.
-/// Each span becomes one [`CampaignSpec::run_job_batch`] lane batch.
-fn replicate_spans(jobs: &[Job]) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut start = 0;
-    for i in 1..=jobs.len() {
-        let extends = i < jobs.len()
-            && jobs[i].index == jobs[i - 1].index + 1
-            && jobs[i].replicate == jobs[i - 1].replicate + 1;
-        if !extends {
-            spans.push((start, i));
-            start = i;
-        }
-    }
-    spans
-}
-
 /// Runs `jobs` on `threads` workers, returning results in job order
-/// (`results[i]` belongs to `jobs[i]`). Replicate siblings run as
-/// lanes of one batched simulation (see [`CampaignSpec::run_job_batch`])
-/// and are stolen as a unit. `on_done` fires on the worker thread as
-/// each job finishes — campaigns use it to stream checkpoint lines and
-/// progress.
+/// (`results[i]` belongs to `jobs[i]`). Workers steal one job at a time,
+/// and `on_done` fires on the worker thread as soon as each job
+/// finishes — campaigns use it to stream checkpoint lines and progress.
 pub(crate) fn execute(
     spec: &CampaignSpec,
     jobs: &[Job],
@@ -58,24 +35,20 @@ pub(crate) fn execute(
     on_done: &(dyn Fn(&Job, &JobResult) + Sync),
 ) -> Vec<JobResult> {
     let total = jobs.len();
-    let spans = replicate_spans(jobs);
-    let threads = threads.max(1).min(spans.len().max(1));
+    let threads = threads.max(1).min(total.max(1));
     let counter = Counter::default();
+    let finish = |job: &Job| {
+        let result = spec.run_job(job);
+        on_done(job, &result);
+        progress.job_done(counter.bump(), total, job, &result);
+        result
+    };
 
     if threads == 1 {
         // The parallel path degenerates to this loop; keeping it
         // explicit avoids thread spawn overhead for serial runs and
         // makes the equivalence easy to see.
-        let mut results = Vec::with_capacity(total);
-        for &(start, end) in &spans {
-            let span = &jobs[start..end];
-            for (job, result) in span.iter().zip(spec.run_job_batch(span)) {
-                on_done(job, &result);
-                progress.job_done(counter.bump(), total, job, &result);
-                results.push(result);
-            }
-        }
-        return results;
+        return jobs.iter().map(finish).collect();
     }
 
     let cursor = AtomicUsize::new(0);
@@ -83,18 +56,12 @@ pub(crate) fn execute(
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let s = cursor.fetch_add(1, Ordering::Relaxed);
-                if s >= spans.len() {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else {
                     break;
-                }
-                let (start, end) = spans[s];
-                let span = &jobs[start..end];
-                for (offset, (job, result)) in span.iter().zip(spec.run_job_batch(span)).enumerate()
-                {
-                    on_done(job, &result);
-                    progress.job_done(counter.bump(), total, job, &result);
-                    *slots[start + offset].lock().expect("result slot poisoned") = Some(result);
-                }
+                };
+                let result = finish(job);
+                *slots[i].lock().expect("result slot poisoned") = Some(result);
             });
         }
     });
@@ -147,17 +114,6 @@ mod tests {
     fn empty_job_list_is_fine() {
         let spec = tiny_campaign().loads([]);
         assert!(execute(&spec, &[], 4, &Silent, &|_, _| {}).is_empty());
-    }
-
-    #[test]
-    fn replicate_spans_group_sibling_runs_only() {
-        let spec = tiny_campaign().loads([0.05, 0.1]).replicates(3);
-        let jobs = spec.jobs();
-        assert_eq!(jobs.len(), 6);
-        assert_eq!(replicate_spans(&jobs), [(0, 3), (3, 6)]);
-        // A checkpoint hole (missing job) splits its span.
-        let resumed: Vec<Job> = jobs.iter().filter(|j| j.index != 1).cloned().collect();
-        assert_eq!(replicate_spans(&resumed), [(0, 1), (1, 2), (2, 5)]);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use hirise_sim::traffic::{
     BitComplement, Bursty, Diurnal, Hotspot, Incast, InterLayerOnly, NeighborShift,
     RandomPermutation, Rpc, Tornado, TrafficPattern, Transpose, UniformRandom, WorstCaseL2lc,
 };
-use hirise_sim::{LaneBatch, NetworkSim, SimConfig, SimReport};
+use hirise_sim::{NetworkSim, SimConfig, SimReport};
 use std::fmt::Write as _;
 
 /// The default base seed, matching [`SimConfig::new`]'s default so
@@ -555,8 +555,8 @@ pub struct SimParams {
     pub window: Option<usize>,
     /// Run the invariant checker in recording mode so violations end
     /// up in the job's result record instead of panicking (on by
-    /// default). It is not cheap: a radix-64 job takes 1.47–1.87× as
-    /// long with the checker on as with it off.
+    /// default). A radix-64 job takes 1.2–1.25× as long with the
+    /// checker on as with it off.
     pub record_invariants: bool,
 }
 
@@ -1058,20 +1058,8 @@ impl CampaignSpec {
         out
     }
 
-    /// Builds the single-switch simulator for one job: fabric with the
-    /// job's fault plan applied, traffic pattern, and the job-seeded
-    /// configuration.
-    fn single_switch_sim(&self, job: &Job) -> NetworkSim<Box<dyn Fabric>, Box<dyn TrafficPattern>> {
-        let radix = job.fabric.radix();
-        let cfg = self.sim.to_sim_config(radix, job.load, job.seed);
-        let mut fabric = job.fabric.build();
-        job.fault.apply(&mut fabric, job.seed);
-        NetworkSim::new(fabric, job.pattern.build(radix), cfg)
-    }
-
     /// Assembles a job's result record from its finished simulator and
-    /// report. Shared by the solo and batched execution paths, which
-    /// therefore cannot disagree on what a result contains.
+    /// report.
     fn single_switch_result(
         job: &Job,
         sim: &NetworkSim<Box<dyn Fabric>, Box<dyn TrafficPattern>>,
@@ -1121,25 +1109,10 @@ impl CampaignSpec {
         }
     }
 
-    /// Runs a group of jobs as interleaved lanes of one
-    /// [`LaneBatch`] — the runner hands replicate siblings here so a
-    /// sweep's replicates amortise arbitration warm-up instead of each
-    /// re-warming the caches. Every lane is an independent simulator
-    /// under the solo run policy, so `results[k]` is identical to
-    /// `run_job(&jobs[k])` (the differential suite pins this batching
-    /// invariance). Non-single-switch topologies fall back to solo
-    /// runs.
+    /// Runs `jobs` one after another on the calling thread, returning
+    /// their records in order: `results[k]` is `run_job(&jobs[k])`.
     pub fn run_job_batch(&self, jobs: &[Job]) -> Vec<JobResult> {
-        if jobs.len() < 2 || !matches!(self.topology, Topology::SingleSwitch) {
-            return jobs.iter().map(|job| self.run_job(job)).collect();
-        }
-        let lanes = jobs.iter().map(|job| self.single_switch_sim(job)).collect();
-        let mut batch = LaneBatch::new(lanes);
-        let reports = batch.run();
-        jobs.iter()
-            .zip(batch.lanes().iter().zip(&reports))
-            .map(|(job, (sim, report))| Self::single_switch_result(job, sim, report))
-            .collect()
+        jobs.iter().map(|job| self.run_job(job)).collect()
     }
 
     /// Runs one job to completion, producing its result record. This
@@ -1149,7 +1122,11 @@ impl CampaignSpec {
     pub fn run_job(&self, job: &Job) -> JobResult {
         match &self.topology {
             Topology::SingleSwitch => {
-                let mut sim = self.single_switch_sim(job);
+                let radix = job.fabric.radix();
+                let cfg = self.sim.to_sim_config(radix, job.load, job.seed);
+                let mut fabric = job.fabric.build();
+                job.fault.apply(&mut fabric, job.seed);
+                let mut sim = NetworkSim::new(fabric, job.pattern.build(radix), cfg);
                 let report = sim.run();
                 Self::single_switch_result(job, &sim, &report)
             }

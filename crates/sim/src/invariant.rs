@@ -23,7 +23,19 @@
 //!
 //! The checker is wired into [`crate::NetworkSim`] and enabled by
 //! default in debug builds (`debug_assertions`); release builds skip it
-//! unless [`crate::SimConfig::check_invariants`] turns it on.
+//! unless [`crate::SimConfig::check_invariants`] or
+//! [`crate::SimConfig::record_invariants`] turns it on. Every
+//! `hirise-lab` job and every cold `hirise-serve` job runs it in
+//! recording mode, in release builds too.
+//!
+//! `NetworkSim` audits a correct cycle in O(requests + grants + live
+//! ports) without allocating: it reads the busy state of requested
+//! outputs only, checks grants against a per-input request table and
+//! reused bitmaps, and walks only the ports its switch cycle marks live.
+//! Each fast audit folds its checks into one flag; when a flag fails,
+//! the full audits ([`InvariantChecker::after_arbitration`],
+//! [`InvariantChecker::end_of_cycle`]) run on the same state to name
+//! each violation.
 //!
 //! The checker runs in one of two modes. In the default *panic* mode
 //! ([`InvariantChecker::new`]) a violation aborts with the offending
@@ -38,8 +50,8 @@
 
 use crate::packet::Packet;
 use crate::port::InputPort;
-use hirise_core::{Grant, Request};
-use std::collections::HashMap;
+use crate::switch_cycle::SwitchCycle;
+use hirise_core::{Grant, OutputId, Request};
 
 /// One recorded invariant violation (recording mode only).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -64,6 +76,10 @@ enum Mode {
 /// broken invariant usually re-fires every subsequent cycle).
 const MAX_RECORDED: usize = 16;
 
+/// FIFO lanes per input in the lane table: the most virtual channels an
+/// [`InputPort`] can have.
+const LANES_PER_INPUT: usize = 64;
+
 /// Audits a simulation cycle-by-cycle for conservation, buffer-bound,
 /// ordering, and grant-legality invariants.
 #[derive(Clone, Debug, Default)]
@@ -72,12 +88,45 @@ pub struct InvariantChecker {
     delivered_packets: u64,
     injected_flits: u64,
     delivered_flits: u64,
-    /// Last delivered packet id per `(input, vc)` FIFO lane.
-    last_delivered: HashMap<(usize, usize), u64>,
+    /// One past the last delivered packet id per FIFO lane, at
+    /// `input * LANES_PER_INPUT + vc` (0: the lane has delivered
+    /// nothing). Grown on first use.
+    next_delivery: Vec<u64>,
     cycles_checked: u64,
     mode: Mode,
     violations: Vec<InvariantViolation>,
     violation_count: u64,
+    /// Scratch of the fast grant audit, sized on first use.
+    round: RoundScratch,
+}
+
+/// What [`InvariantChecker::before_arbitration`] reads of one round for
+/// the fast grant audit.
+#[derive(Clone, Debug, Default)]
+struct RoundScratch {
+    /// Arbitration rounds seen; stamps `requested`, so the table is
+    /// never cleared.
+    round: u64,
+    /// Per input: the round it last requested in and the output it
+    /// requested then.
+    requested: Vec<(u64, usize)>,
+    /// No input presented two requests this round. Otherwise the
+    /// request table holds only the last, and the full audit decides.
+    one_request_per_input: bool,
+    /// Bitmap over outputs: requested this round and busy before
+    /// arbitration.
+    out_busy: Vec<u64>,
+    /// Bitmaps over outputs and inputs granted so far this round.
+    out_granted: Vec<u64>,
+    in_granted: Vec<u64>,
+}
+
+fn has(bits: &[u64], index: usize) -> bool {
+    bits[index / 64] >> (index % 64) & 1 == 1
+}
+
+fn set(bits: &mut [u64], index: usize) {
+    bits[index / 64] |= 1 << (index % 64);
 }
 
 impl InvariantChecker {
@@ -167,19 +216,158 @@ impl InvariantChecker {
     ///
     /// In panic mode, panics if the lane delivered a packet with a
     /// non-increasing id — i.e. the switch reordered a FIFO stream.
+    ///
+    /// Panics in either mode if `vc` is 64 or more, beyond the virtual
+    /// channels an [`InputPort`] can have.
     pub fn on_delivery(&mut self, input: usize, vc: usize, packet: &Packet) {
         self.delivered_packets += 1;
         self.delivered_flits += packet.len_flits as u64;
-        if let Some(&last) = self.last_delivered.get(&(input, vc)) {
-            self.check(packet.id > last, None, || {
-                format!(
-                    "invariant violated: input {input} VC {vc} delivered packet \
-                     {} after packet {last} (FIFO lane reordered)",
-                    packet.id
-                )
-            });
+        assert!(vc < LANES_PER_INPUT, "VC {vc} out of range");
+        let lane = input * LANES_PER_INPUT + vc;
+        if lane >= self.next_delivery.len() {
+            self.next_delivery.resize((input + 1) * LANES_PER_INPUT, 0);
         }
-        self.last_delivered.insert((input, vc), packet.id);
+        let next = self.next_delivery[lane];
+        self.check(packet.id >= next, None, || {
+            format!(
+                "invariant violated: input {input} VC {vc} delivered packet \
+                 {} after packet {} (FIFO lane reordered)",
+                packet.id,
+                next - 1
+            )
+        });
+        self.next_delivery[lane] = packet.id + 1;
+    }
+
+    /// Reads what the grant audit of one arbitration round needs before
+    /// the fabric answers `requests`: which output each input requests,
+    /// and whether each requested output is already mid-transfer
+    /// (`output_busy`, called once per request). Outputs that nobody
+    /// requested are not read: a legal grant can land only on a
+    /// requested one, and a grant anywhere else already answers no
+    /// request.
+    pub(crate) fn before_arbitration(
+        &mut self,
+        radix: usize,
+        requests: &[Request],
+        mut output_busy: impl FnMut(OutputId) -> bool,
+    ) {
+        let round = &mut self.round;
+        if round.requested.len() < radix {
+            let words = radix.div_ceil(64);
+            round.requested.resize(radix, (0, 0));
+            for bits in [
+                &mut round.out_busy,
+                &mut round.out_granted,
+                &mut round.in_granted,
+            ] {
+                bits.resize(words, 0);
+            }
+        }
+        round.round += 1;
+        round.one_request_per_input = true;
+        round.out_busy.fill(0);
+        round.out_granted.fill(0);
+        round.in_granted.fill(0);
+        for request in requests {
+            let (input, output) = (request.input.index(), request.output.index());
+            let slot = &mut round.requested[input];
+            round.one_request_per_input &= slot.0 != round.round;
+            *slot = (round.round, output);
+            round.out_busy[output / 64] |= u64::from(output_busy(request.output)) << (output % 64);
+        }
+    }
+
+    /// Audits one cycle of `switch` once its arbitration has committed:
+    /// grant legality against what
+    /// [`before_arbitration`](Self::before_arbitration) read, then
+    /// conservation and buffer bounds over the ports `switch` marks
+    /// live. A correct cycle costs O(requests + grants + live ports) and
+    /// allocates nothing; a failing check runs the full audit to name
+    /// each violation.
+    pub(crate) fn after_switch_cycle(&mut self, cycle: u64, switch: &SwitchCycle, vcs: usize) {
+        self.audit_grants(cycle, &switch.requests, &switch.grants);
+        let (occupied, transferring) = switch.live_bitmaps();
+        self.audit_live_ports(cycle, &switch.ports, vcs, occupied, transferring);
+    }
+
+    /// The fast grant audit: the checks of
+    /// [`after_arbitration`](Self::after_arbitration), folded into one
+    /// flag. The full audit that names a failure sees the outputs nobody
+    /// requested as idle: a grant to one already answers no request.
+    fn audit_grants(&mut self, cycle: u64, requests: &[Request], grants: &[Grant]) {
+        let round = &mut self.round;
+        let mut ok = round.one_request_per_input;
+        for grant in grants {
+            let (input, output) = (grant.input.index(), grant.output.index());
+            ok &= round.requested.get(input) == Some(&(round.round, output))
+                && !has(&round.out_granted, output)
+                && !has(&round.in_granted, input)
+                && !has(&round.out_busy, output);
+            set(&mut round.out_granted, output);
+            set(&mut round.in_granted, input);
+        }
+        if !ok {
+            let busy: Vec<bool> = (0..round.requested.len())
+                .map(|output| has(&round.out_busy, output))
+                .collect();
+            self.after_arbitration(cycle, requests, grants, &busy);
+        }
+    }
+
+    /// The fast port audit: the checks of
+    /// [`end_of_cycle`](Self::end_of_cycle) over the ports set in
+    /// `occupied | transferring`, folded into one flag. A port outside
+    /// that set that still holds a packet is missing from the in-flight
+    /// sum, so it breaks conservation and fails the flag too.
+    fn audit_live_ports(
+        &mut self,
+        cycle: u64,
+        ports: &[InputPort],
+        vcs: usize,
+        occupied: &[u64],
+        transferring: &[u64],
+    ) {
+        self.cycles_checked += 1;
+        let mut ok = true;
+        let mut in_flight_packets = 0u64;
+        for (word_idx, (&occ, &moving)) in occupied.iter().zip(transferring).enumerate() {
+            let mut word = occ | moving;
+            while word != 0 {
+                let port = &ports[word_idx * 64 + word.trailing_zeros() as usize];
+                word &= word - 1;
+                let buffered = port.buffered();
+                ok &= buffered <= vcs;
+                if let Some(vc) = port.active_vc() {
+                    ok &= buffered >= 1 && vc < vcs;
+                }
+                in_flight_packets += port.occupancy() as u64;
+            }
+        }
+        ok &= self.injected_packets == self.delivered_packets + in_flight_packets
+            && self.delivered_flits >= self.delivered_packets
+            && self.injected_flits >= self.delivered_flits;
+        if ok {
+            return;
+        }
+        let before = self.violation_count;
+        self.audit_ports(cycle, ports, vcs);
+        if self.violation_count == before {
+            // The full walk is clean, so the live walk missed packets
+            // held by ports outside the live set: name each one.
+            for (input, port) in ports.iter().enumerate() {
+                let held = port.occupancy();
+                if held > 0 && !has(occupied, input) && !has(transferring, input) {
+                    self.fail(
+                        Some(cycle),
+                        format!(
+                            "invariant violated at cycle {cycle}: input {input} holds \
+                             {held} packets but is marked neither occupied nor transferring"
+                        ),
+                    );
+                }
+            }
+        }
     }
 
     /// Checks one arbitration round for grant legality.
@@ -239,6 +427,12 @@ impl InvariantChecker {
     /// holds no packet.
     pub fn end_of_cycle(&mut self, cycle: u64, ports: &[InputPort], vcs: usize) {
         self.cycles_checked += 1;
+        self.audit_ports(cycle, ports, vcs);
+    }
+
+    /// The checks of [`end_of_cycle`](Self::end_of_cycle), without
+    /// counting the cycle.
+    fn audit_ports(&mut self, cycle: u64, ports: &[InputPort], vcs: usize) {
         let mut in_flight_packets = 0u64;
         for (input, port) in ports.iter().enumerate() {
             let buffered = port.buffered();

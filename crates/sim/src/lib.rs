@@ -24,16 +24,16 @@
 //! paper's Fig. 13 topology; [`mesh`] holds the matching graph-level
 //! analysis) and wafer-scale [`dragonfly`]s. Load sweeps and the
 //! saturation search live in the `hirise-lab` experiment-campaign crate,
-//! which drives this simulator in parallel across configurations;
-//! replicate sweeps run as interleaved lanes of one [`LaneBatch`], each
-//! lane byte-identical to a solo run at the same seed.
+//! which drives this simulator in parallel across configurations, one
+//! solo [`NetworkSim`] run per job.
 //!
 //! Correctness is audited two ways: [`diff`] co-simulates every fabric
 //! against an ideal golden-model crossbar ([`RefSwitch`]) under
 //! identical schedules and shrinks any divergence to a minimal
 //! counterexample, while [`InvariantChecker`] (on by default in debug
-//! builds) asserts flit conservation, buffer bounds, FIFO-lane order
-//! and grant legality on every simulated cycle.
+//! builds, and in recording mode for every `hirise-lab` job) asserts
+//! flit conservation, buffer bounds, FIFO-lane order and grant legality
+//! on every simulated cycle.
 //!
 //! # Example
 //!
@@ -85,6 +85,6 @@ pub use engine::NetSchedule;
 pub use invariant::{InvariantChecker, InvariantViolation};
 pub use packet::Packet;
 pub use port::InputPort;
-pub use sim::{LaneBatch, NetworkSim, SimConfig};
+pub use sim::{NetworkSim, SimConfig};
 pub use stats::{LatencyHistogram, SimReport};
 pub use switch_cycle::SwitchCycle;

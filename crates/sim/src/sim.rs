@@ -10,7 +10,7 @@ use crate::switch_cycle::SwitchCycle;
 use crate::traffic::TrafficPattern;
 use hirise_core::rng::SeedableRng;
 use hirise_core::rng::StdRng;
-use hirise_core::{Fabric, InputId, OutputId};
+use hirise_core::{Fabric, InputId};
 
 /// Simulation parameters. Defaults match the paper's methodology:
 /// 4 virtual channels of 4-flit depth per port and 4-flit packets.
@@ -123,8 +123,8 @@ impl SimConfig {
 
     /// Forces the per-cycle [`InvariantChecker`] on or off. The default
     /// follows the build profile: on under `debug_assertions`, off in
-    /// release builds. It is not cheap: a radix-64 run takes 1.47–1.87×
-    /// as long with the checker on as with it off.
+    /// release builds. A radix-64 run takes 1.2–1.25× as long with the
+    /// checker on as with it off.
     pub fn check_invariants(mut self, on: bool) -> Self {
         self.invariants = Some(on);
         self
@@ -189,8 +189,6 @@ pub struct NetworkSim<F, T> {
     now: u64,
     next_packet_id: u64,
     checker: Option<InvariantChecker>,
-    /// Per-cycle scratch for the checker's grant-legality audit.
-    busy_out: Vec<bool>,
 }
 
 impl<F: Fabric, T: TrafficPattern> NetworkSim<F, T> {
@@ -225,7 +223,6 @@ impl<F: Fabric, T: TrafficPattern> NetworkSim<F, T> {
                     InvariantChecker::new()
                 }
             }),
-            busy_out: vec![false; radix],
             cfg,
         }
     }
@@ -365,139 +362,28 @@ impl<F: Fabric, T: TrafficPattern> NetworkSim<F, T> {
         }
 
         // (c)+(d) Move packets into free VCs, arbitrate one candidate
-        // per idle port, and start the winners' transfers.
-        if self.checker.is_some() {
-            for output in 0..self.cfg.radix {
-                self.busy_out[output] = self.fabric.output_busy(OutputId::new(output));
-            }
-        }
-        self.cycle.arbitrate(&mut self.fabric);
+        // per idle port, and start the winners' transfers. The checker
+        // reads the busy state of the requested outputs before the
+        // fabric answers.
+        self.cycle.collect(|_, packet| Some(packet.dst));
         if let Some(checker) = &mut self.checker {
-            let cycle = &self.cycle;
-            checker.after_arbitration(self.now, &cycle.requests, &cycle.grants, &self.busy_out);
-            checker.end_of_cycle(self.now, &cycle.ports, self.cfg.vcs);
+            let fabric = &self.fabric;
+            checker.before_arbitration(self.cfg.radix, &self.cycle.requests, |output| {
+                fabric.output_busy(output)
+            });
+        }
+        self.fabric
+            .arbitrate_into(&self.cycle.requests, &mut self.cycle.grants);
+        self.cycle.commit();
+        if let Some(checker) = &mut self.checker {
+            // The port audit walks only the ports the cycle marks
+            // occupied or transferring. A stale bitmap still trips it: a
+            // packet held by a port outside that set is missing from the
+            // in-flight sum and breaks conservation.
+            checker.after_switch_cycle(self.now, &self.cycle, self.cfg.vcs);
         }
 
         self.now += 1;
-    }
-}
-
-/// Where a lane stands in the warmup→measure→drain run policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum LanePhase {
-    /// Inside warmup + measurement; counts down the remaining cycles.
-    Window { remaining: u64 },
-    /// Waiting for measured packets to complete; counts drained cycles.
-    Drain { drained: u64 },
-    /// Run policy finished; the lane no longer steps.
-    Done,
-}
-
-/// A batch of independent simulations stepped in lockstep, one cycle
-/// across every live lane before the next cycle starts.
-///
-/// Campaign replicates are embarrassingly parallel but individually
-/// serial; running N of them as interleaved lanes on one thread keeps
-/// the arbitration code and its branch predictor state hot across
-/// lanes instead of re-warming per replicate, and gives a work-stealing
-/// runner a coarser unit to steal. Each lane owns its fabric, RNG and
-/// report, and the per-lane run policy replicates [`NetworkSim::run`]
-/// exactly — warmup + measurement, then draining until every measured
-/// packet completes or the drain cap is hit — so lane `k` of an N-lane
-/// batch produces a report byte-identical to a solo
-/// [`NetworkSim::run`] of the same simulation (the differential suite
-/// pins this).
-#[derive(Debug)]
-pub struct LaneBatch<F, T> {
-    lanes: Vec<NetworkSim<F, T>>,
-}
-
-impl<F: Fabric, T: TrafficPattern> LaneBatch<F, T> {
-    /// Creates a batch over independently configured simulations. The
-    /// lanes need not agree on radix, seed or cycle counts; a lane
-    /// whose policy finishes early simply stops stepping.
-    pub fn new(lanes: Vec<NetworkSim<F, T>>) -> Self {
-        Self { lanes }
-    }
-
-    /// Number of lanes in the batch.
-    pub fn len(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Whether the batch has no lanes.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
-    }
-
-    /// Read access to the lanes, e.g. for checker or fault-log state
-    /// after [`run`](Self::run).
-    pub fn lanes(&self) -> &[NetworkSim<F, T>] {
-        &self.lanes
-    }
-
-    /// Consumes the batch, returning the lanes.
-    pub fn into_lanes(self) -> Vec<NetworkSim<F, T>> {
-        self.lanes
-    }
-
-    /// Runs every lane to completion under [`NetworkSim::run`]'s
-    /// policy, stepping all live lanes one cycle at a time, and returns
-    /// the reports in lane order.
-    pub fn run(&mut self) -> Vec<SimReport> {
-        let mut reports: Vec<SimReport> = self.lanes.iter().map(NetworkSim::report).collect();
-        let mut phases: Vec<LanePhase> = self
-            .lanes
-            .iter()
-            .map(|lane| {
-                let window = lane.cfg.warmup + lane.cfg.measure;
-                if window > 0 {
-                    LanePhase::Window { remaining: window }
-                } else {
-                    LanePhase::Drain { drained: 0 }
-                }
-            })
-            .collect();
-        loop {
-            let mut live = false;
-            for (i, lane) in self.lanes.iter_mut().enumerate() {
-                // One policy decision + at most one step per lane per
-                // iteration, in the same order NetworkSim::run makes
-                // them, so each lane's cycle-by-cycle history matches a
-                // solo run exactly.
-                match phases[i] {
-                    LanePhase::Window { remaining } => {
-                        lane.step(&mut reports[i]);
-                        phases[i] = if remaining > 1 {
-                            LanePhase::Window {
-                                remaining: remaining - 1,
-                            }
-                        } else {
-                            LanePhase::Drain { drained: 0 }
-                        };
-                        live = true;
-                    }
-                    LanePhase::Drain { drained } => {
-                        let report = &mut reports[i];
-                        if report.completed_measured() < report.injected_measured()
-                            && drained < lane.cfg.drain
-                        {
-                            lane.step(report);
-                            phases[i] = LanePhase::Drain {
-                                drained: drained + 1,
-                            };
-                            live = true;
-                        } else {
-                            phases[i] = LanePhase::Done;
-                        }
-                    }
-                    LanePhase::Done => {}
-                }
-            }
-            if !live {
-                return reports;
-            }
-        }
     }
 }
 

@@ -7,9 +7,11 @@
 //! and the network engine behind [`ShardedSim`](crate::shard::ShardedSim)
 //! one per router. Each driver owns its fabrics, injects between cycles,
 //! and calls [`transfers`](SwitchCycle::transfers) then
-//! [`arbitrate`](SwitchCycle::arbitrate) once per cycle; the network
-//! engine splits arbitration into `collect` and `commit` around its own
-//! `arbitrate_into` call, routing each candidate as it is collected.
+//! [`arbitrate`](SwitchCycle::arbitrate) once per cycle. `NetworkSim`
+//! splits arbitration into `collect` and `commit` around its own
+//! `arbitrate_into` call so its invariant checker can read the fabric
+//! in between; the network engine does the same, routing each
+//! candidate as it is collected.
 
 use crate::packet::Packet;
 use crate::port::InputPort;
@@ -79,6 +81,13 @@ impl SwitchCycle {
     pub(crate) fn enqueue(&mut self, input: usize, packet: Packet) {
         self.ports[input].inject(packet);
         self.port_occupied[input / 64] |= 1u64 << (input % 64);
+    }
+
+    /// The bitmaps over inputs that mark a port live, as `(occupied,
+    /// transferring)`: the port holds a packet, and a transfer or its
+    /// release beat is in flight. A port in neither is idle.
+    pub(crate) fn live_bitmaps(&self) -> (&[u64], &[u64]) {
+        (&self.port_occupied, &self.active_transfers)
     }
 
     /// Whether a transfer or its release beat is still in flight.

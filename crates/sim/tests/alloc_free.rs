@@ -1,12 +1,12 @@
 //! Proof that the steady-state per-cycle hot path performs **zero heap
-//! allocations**: a counting global allocator wraps the system allocator,
-//! each fabric warms up until every scratch arena has reached its peak
-//! capacity, and the counter must then stay at zero across 1 000 further
-//! cycles of uniform-random traffic.
+//! allocations**, with the invariant checker off and in the recording
+//! mode every campaign job runs: a counting global allocator wraps the
+//! system allocator, each fabric warms up until every scratch arena has
+//! reached its peak capacity, and the counter must then stay at zero
+//! across 1 000 further cycles of uniform-random traffic.
 //!
-//! The whole proof lives in a single `#[test]` function: the counter is
-//! thread-local, so parallel test threads cannot pollute it, but one
-//! function keeps the warmup/measure windows trivially serialized too.
+//! The counter is thread-local, so parallel test threads cannot pollute
+//! it, and each test serializes its own warmup/measure windows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -64,13 +64,14 @@ const WARMUP_CYCLES: u64 = 20_000;
 const COUNTED_CYCLES: u64 = 1_000;
 
 /// Runs `fabric` to steady state, then counts allocations over
-/// [`COUNTED_CYCLES`] further cycles and returns the total.
-fn count_steady_state_allocations<F: Fabric>(fabric: F) -> u64 {
+/// [`COUNTED_CYCLES`] further cycles and returns the total. With
+/// `record` the invariant checker runs in recording mode, as in every
+/// `hirise-lab` job, and must stay clean and audit every counted cycle.
+fn count_steady_state_allocations(label: &str, fabric: Box<dyn Fabric>, record: bool) -> u64 {
     // A warmup window longer than the whole run keeps every packet
     // unmeasured, so completions never touch the (growable) latency
-    // histogram; the invariant checker is off because its audit trail
-    // allocates by design. Injection is closed-loop (windowed) so the
-    // per-port source queues are bounded — under open-loop injection an
+    // histogram. Injection is closed-loop (windowed) so the per-port
+    // source queues are bounded — under open-loop injection an
     // unbounded queue can random-walk to a new depth record at any time,
     // which legitimately reallocates.
     let cfg = SimConfig::new(RADIX)
@@ -79,20 +80,31 @@ fn count_steady_state_allocations<F: Fabric>(fabric: F) -> u64 {
         .warmup(u64::MAX / 2)
         .measure(1)
         .seed(0xA110_C8ED)
-        .check_invariants(false);
+        .check_invariants(false)
+        .record_invariants(record);
     let mut sim = NetworkSim::new(fabric, UniformRandom::new(RADIX), cfg);
     let mut report = sim.report();
     sim.run_cycles(&mut report, WARMUP_CYCLES);
+    let checked = sim.checker().map_or(0, |c| c.cycles_checked());
 
     ALLOCATIONS.set(0);
     COUNTING.set(true);
     sim.run_cycles(&mut report, COUNTED_CYCLES);
     COUNTING.set(false);
+    if record {
+        let checker = sim.checker().expect("recording turns the checker on");
+        assert_eq!(checker.violation_count(), 0, "{label}: checker violations");
+        assert_eq!(
+            checker.cycles_checked(),
+            checked + COUNTED_CYCLES,
+            "{label}: counted cycles not audited"
+        );
+    }
     ALLOCATIONS.get()
 }
 
-#[test]
-fn steady_state_cycles_allocate_nothing() {
+/// The seven radix-64 fabrics of the single-switch audits.
+fn fabrics() -> Vec<(&'static str, Box<dyn Fabric>)> {
     let hirise_cfg = HiRiseConfig::builder(RADIX, 4)
         .channel_multiplicity(4)
         .scheme(ArbitrationScheme::LayerToLayerLrg)
@@ -114,38 +126,37 @@ fn steady_state_cycles_allocate_nothing() {
         .inject_fault(Fault::flaky(FaultSite::TsvBundle { index: 1 }, 0.5))
         .expect("bundle 1 in range");
 
-    let allocations = [
-        (
-            "switch2d",
-            count_steady_state_allocations(Switch2d::new(RADIX)),
-        ),
-        (
-            "folded3d",
-            count_steady_state_allocations(FoldedSwitch::new(RADIX, 4)),
-        ),
-        (
-            "hirise",
-            count_steady_state_allocations(HiRiseSwitch::new(&hirise_cfg)),
-        ),
-        ("hirise+faults", count_steady_state_allocations(faulty)),
-        (
-            "islip2",
-            count_steady_state_allocations(MatchingSwitch::islip(RADIX, 2)),
-        ),
-        (
-            "eslip",
-            count_steady_state_allocations(MatchingSwitch::eslip(RADIX, 2)),
-        ),
-        (
-            "wavefront",
-            count_steady_state_allocations(MatchingSwitch::wavefront(RADIX)),
-        ),
-    ];
+    vec![
+        ("switch2d", Box::new(Switch2d::new(RADIX))),
+        ("folded3d", Box::new(FoldedSwitch::new(RADIX, 4))),
+        ("hirise", Box::new(HiRiseSwitch::new(&hirise_cfg))),
+        ("hirise+faults", Box::new(faulty)),
+        ("islip2", Box::new(MatchingSwitch::islip(RADIX, 2))),
+        ("eslip", Box::new(MatchingSwitch::eslip(RADIX, 2))),
+        ("wavefront", Box::new(MatchingSwitch::wavefront(RADIX))),
+    ]
+}
 
-    for (fabric, count) in allocations {
+#[test]
+fn steady_state_cycles_allocate_nothing() {
+    for (fabric, switch) in fabrics() {
+        let count = count_steady_state_allocations(fabric, switch, false);
         assert_eq!(
             count, 0,
             "{fabric}: {count} heap allocations across {COUNTED_CYCLES} steady-state cycles"
+        );
+    }
+}
+
+/// The path every campaign job runs: the recording invariant checker
+/// audits each cycle without allocating.
+#[test]
+fn steady_state_cycles_with_the_recording_checker_allocate_nothing() {
+    for (fabric, switch) in fabrics() {
+        let count = count_steady_state_allocations(fabric, switch, true);
+        assert_eq!(
+            count, 0,
+            "{fabric} + checker: {count} heap allocations across {COUNTED_CYCLES} steady-state cycles"
         );
     }
 }

@@ -14,7 +14,7 @@ use hirise::core::{
 };
 use hirise::sim::diff::{check_arbitrate_into_equivalence, run_schedule, standard_fleet, Schedule};
 use hirise::sim::traffic::UniformRandom;
-use hirise::sim::{LaneBatch, NetworkSim, SimConfig};
+use hirise::sim::{NetworkSim, SimConfig};
 
 /// Co-steps every fleet member through identical random schedules until
 /// each has simulated >= 10k cycles, asserting per-cycle grant legality
@@ -528,54 +528,6 @@ fn matching_fabrics_co_step_golden_model_at_every_radix() {
                 "{name} radix {radix}: only {simulated} cycles co-stepped"
             );
         }
-    }
-}
-
-/// Batching invariance: lane `k` of an N-lane [`LaneBatch`] must
-/// produce a report identical to a solo [`NetworkSim::run`] of the
-/// same simulation — same fabric, seed and cycle policy — even though
-/// the batch interleaves lanes cycle by cycle and the lanes finish
-/// their drains at different times.
-#[test]
-fn batched_lane_reports_match_solo_runs() {
-    let cfg = HiRiseConfig::builder(16, 4)
-        .channel_multiplicity(4)
-        .scheme(ArbitrationScheme::LayerToLayerLrg)
-        .build()
-        .expect("valid Hi-Rise configuration");
-    // Lanes differ in seed and load (so drains finish at different
-    // cycles), exercising the per-lane policy staggering.
-    let lanes: Vec<(u64, f64)> = vec![
-        (0xBA7C_0001, 0.05),
-        (0xBA7C_0002, 0.15),
-        (0xBA7C_0003, 0.10),
-        (0xBA7C_0004, 0.20),
-        (0xBA7C_0005, 0.08),
-    ];
-    let make = |&(seed, load): &(u64, f64)| {
-        let sim_cfg = SimConfig::new(16)
-            .injection_rate(load)
-            .warmup(200)
-            .measure(2_000)
-            .drain(2_000)
-            .seed(seed);
-        NetworkSim::new(HiRiseSwitch::new(&cfg), UniformRandom::new(16), sim_cfg)
-    };
-    let solo: Vec<_> = lanes
-        .iter()
-        .map(|lane| {
-            let mut sim = make(lane);
-            sim.run()
-        })
-        .collect();
-    let mut batch = LaneBatch::new(lanes.iter().map(make).collect());
-    let batched = batch.run();
-    assert_eq!(batched.len(), solo.len());
-    for (k, (batched_report, solo_report)) in batched.iter().zip(&solo).enumerate() {
-        assert_eq!(
-            batched_report, solo_report,
-            "lane {k} diverged from solo run"
-        );
     }
 }
 
