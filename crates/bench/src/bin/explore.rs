@@ -15,10 +15,10 @@
 //! `transpose|bitcomp|interlayer|worstcase` `--load packets/input/cycle`
 //! `--cycles N` `--seed S`
 
-use hirise_bench::args::{arg_error, parse_flag_value};
 use hirise_core::{
     ArbitrationScheme, ChannelAllocation, Fabric, HiRiseConfig, HiRiseSwitch, OutputId, Switch2d,
 };
+use hirise_lab::args::{arg_error, parse_flag_value};
 use hirise_phys::{ns_from_cycles, packets_per_ns, SwitchDesign};
 use hirise_sim::traffic::{
     paper_adversarial, BitComplement, Bursty, Hotspot, InterLayerOnly, NeighborShift, Tornado,

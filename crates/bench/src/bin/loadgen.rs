@@ -20,7 +20,7 @@
 //! The run fails (exit 1) if any request dies without a typed response,
 //! or if repeats produce no cache hits.
 
-use hirise_bench::args::{arg_error, flag_value, parse_flag_value};
+use hirise_lab::args::{arg_error, flag_value, parse_flag_value};
 use hirise_lab::json::{self, Json};
 use hirise_lab::{CampaignSpec, FabricSpec, PatternSpec, SimParams};
 use hirise_serve::{ServeConfig, ServerHandle};

@@ -21,18 +21,15 @@
 //! | `ablation` | CLRG class count, halving, allocation, local arbiter |
 //! | `patterns` | locality sweep across all synthetic traffic patterns |
 //! | `explore` | ad-hoc CLI: any config × pattern × load |
-//! | `cyclebench` | simulator throughput baseline (`BENCH_sim.json`, not a paper artifact) |
+//! | `cyclebench` | word-vs-scalar kernel and active-set-vs-dense schedule floors (not a paper artifact) |
 //!
 //! Pass `quick` as an argument to any binary for a shorter (but
-//! noisier) run. The `benches/` directory holds wall-clock micro-benches
-//! of the arbiters, switches and simulator themselves, built on the
-//! internal [`quickbench`] harness.
+//! noisier) run. Whole-workload performance is measured by the
+//! repository benchmark (`benchmark/`, declared in `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod args;
-pub mod quickbench;
 pub mod runs;
 pub mod table;
 

@@ -29,16 +29,7 @@ pub enum ArbiterKernel {
 }
 
 impl ArbiterKernel {
-    /// Parses the labels used by `cyclebench` and campaign specs.
-    pub fn parse(label: &str) -> Option<Self> {
-        match label {
-            "word" => Some(Self::Word),
-            "scalar" => Some(Self::Scalar),
-            _ => None,
-        }
-    }
-
-    /// Stable label for reports and benchmark schemas.
+    /// Stable label for reports.
     pub fn label(self) -> &'static str {
         match self {
             Self::Word => "word",
@@ -123,10 +114,8 @@ mod tests {
 
     #[test]
     fn labels_round_trip() {
-        for kernel in [ArbiterKernel::Word, ArbiterKernel::Scalar] {
-            assert_eq!(ArbiterKernel::parse(kernel.label()), Some(kernel));
-        }
-        assert_eq!(ArbiterKernel::parse("simd"), None);
+        assert_eq!(ArbiterKernel::Word.label(), "word");
+        assert_eq!(ArbiterKernel::Scalar.label(), "scalar");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! message under a backtrace pointer and report exit status 101.
 //!
 //! Lives in `hirise-lab` (the lowest crate with binaries) and is
-//! re-exported as `hirise_bench::args` for the experiment harness.
+//! used by the experiment harness's binaries too.
 
 /// Prints `error: {message}` and the usage synopsis to stderr, then
 /// exits with status 2.

@@ -1,14 +1,9 @@
-//! CI smoke check and speedup probe for the campaign runner.
+//! CI smoke checks for the campaign runner.
 //!
-//! Default mode runs a small two-fabric × two-load campaign on two
-//! threads, writes its JSONL telemetry, then re-reads and validates
-//! every line — exercising the whole spec → runner → sink → parser
-//! path in a few seconds.
-//!
-//! `--speedup` runs a Fig. 10-scale campaign (five 64-radix fabrics ×
-//! seven loads at full methodology cycles) once on one thread and once
-//! on N threads, asserts the two JSONL files are byte-identical, and
-//! reports the wall-clock speedup.
+//! Default mode runs a small three-fabric × two-pattern × two-load
+//! campaign on two threads, writes its JSONL telemetry, then re-reads
+//! and validates every line — exercising the whole spec → runner →
+//! sink → parser path in a few seconds.
 //!
 //! `--faults` runs a tiny campaign over all four fabric families with
 //! a fault axis (fault-free plus one dead TSV bundle) under uniform and
@@ -22,13 +17,12 @@
 //! byte-for-byte identical: the CI gate on the sharded engine's
 //! determinism contract.
 //!
-//! Usage: `lab_smoke [--threads N] [--out PATH] [--speedup | --faults | --shards]`
+//! Usage: `lab_smoke [--threads N] [--out PATH] [--faults | --shards]`
 
-use hirise_core::{ArbitrationScheme, HiRiseConfig, MatchPolicy};
+use hirise_core::{HiRiseConfig, MatchPolicy};
 use hirise_lab::args::{arg_error, flag_value, parse_flag_value};
 use hirise_lab::{
-    default_threads, json, CampaignSpec, FabricSpec, FaultSpec, PatternSpec, Silent, SimParams,
-    Stderr, Topology,
+    json, CampaignSpec, FabricSpec, FaultSpec, PatternSpec, Silent, SimParams, Stderr, Topology,
 };
 use std::path::PathBuf;
 use std::time::Instant;
@@ -41,11 +35,10 @@ fn fail(what: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-const USAGE: &str = "lab_smoke [--threads N] [--out PATH] [--speedup | --faults | --shards]";
+const USAGE: &str = "lab_smoke [--threads N] [--out PATH] [--faults | --shards]";
 
 enum Mode {
     Smoke,
-    Speedup,
     Faults,
     Shards,
 }
@@ -71,7 +64,6 @@ fn parse_args() -> (usize, PathBuf, Mode) {
             "--out" => {
                 out = PathBuf::from(flag_value("--out", &mut args, USAGE));
             }
-            "--speedup" => mode = Mode::Speedup,
             "--faults" => mode = Mode::Faults,
             "--shards" => mode = Mode::Shards,
             other => arg_error(format!("unknown argument {other:?}"), USAGE),
@@ -142,68 +134,6 @@ fn smoke(threads: usize, out: PathBuf) {
         "smoke ok: {jobs} jobs on {threads} threads in {:.2}s, telemetry at {}",
         start.elapsed().as_secs_f64(),
         out.display()
-    );
-}
-
-/// The Fig. 10 grid: 2D, folded, and the three Hi-Rise channel
-/// multiplicities at 64 radix, uniform random, seven loads.
-fn fig10_scale_spec(name: &str) -> CampaignSpec {
-    let mut spec = CampaignSpec::new(name)
-        .fabric(FabricSpec::Flat2d { radix: 64 })
-        .fabric(FabricSpec::Folded {
-            radix: 64,
-            layers: 4,
-        });
-    for c in [4usize, 2, 1] {
-        spec = spec.fabric(FabricSpec::hirise(
-            HiRiseConfig::builder(64, 4)
-                .channel_multiplicity(c)
-                .scheme(ArbitrationScheme::LayerToLayerLrg)
-                .build()
-                .unwrap_or_else(|e| fail(format!("invalid built-in configuration: {e}"))),
-        ));
-    }
-    spec.pattern(PatternSpec::Uniform)
-        .loads((1..=7).map(|i| 0.02 * i as f64))
-        .sim(SimParams::full())
-}
-
-fn speedup(threads: usize, out: PathBuf) {
-    let threads = threads.max(default_threads().min(8));
-    let spec = fig10_scale_spec("fig10-speedup");
-    let jobs = spec.jobs().len();
-    let serial_out = out.with_extension("t1.jsonl");
-    let parallel_out = out.with_extension(format!("t{threads}.jsonl"));
-    let _ = std::fs::remove_file(&serial_out);
-    let _ = std::fs::remove_file(&parallel_out);
-
-    eprintln!("running {jobs} jobs on 1 thread...");
-    let start = Instant::now();
-    spec.run_to_file(&serial_out, 1, &Silent)
-        .unwrap_or_else(|e| fail(format!("serial run failed: {e}")));
-    let serial_secs = start.elapsed().as_secs_f64();
-
-    eprintln!("running {jobs} jobs on {threads} threads...");
-    let start = Instant::now();
-    spec.run_to_file(&parallel_out, threads, &Silent)
-        .unwrap_or_else(|e| fail(format!("parallel run failed: {e}")));
-    let parallel_secs = start.elapsed().as_secs_f64();
-
-    let a = std::fs::read(&serial_out)
-        .unwrap_or_else(|e| fail(format!("cannot read serial telemetry: {e}")));
-    let b = std::fs::read(&parallel_out)
-        .unwrap_or_else(|e| fail(format!("cannot read parallel telemetry: {e}")));
-    assert_eq!(
-        a, b,
-        "1-thread and {threads}-thread JSONL must be byte-identical"
-    );
-    validate_jsonl(&serial_out, jobs);
-
-    println!(
-        "speedup ok: {jobs} jobs, 1 thread {serial_secs:.1}s vs {threads} threads \
-         {parallel_secs:.1}s -> {:.2}x, outputs byte-identical ({} bytes)",
-        serial_secs / parallel_secs,
-        a.len()
     );
 }
 
@@ -379,7 +309,6 @@ fn shards(out: PathBuf) {
 fn main() {
     let (threads, out, mode) = parse_args();
     match mode {
-        Mode::Speedup => speedup(threads, out),
         Mode::Faults => faults(out),
         Mode::Shards => shards(out),
         Mode::Smoke => smoke(threads, out),

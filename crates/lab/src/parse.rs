@@ -70,9 +70,10 @@ pub fn campaign_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
 ///
 /// `name` is required; every other field defaults as in
 /// [`CampaignSpec::new`] when absent. Present fields must have the
-/// canonical schema's types, and fabric configurations are validated
-/// (an impossible Hi-Rise geometry is a [`SpecError::Invalid`], never a
-/// panic).
+/// canonical schema's types, and fabric configurations, the VC count
+/// and (on a single switch) packet fit are validated: an impossible
+/// Hi-Rise geometry, 0 or more than 64 VCs, or a packet longer than a
+/// VC buffer is a [`SpecError::Invalid`], never a worker panic.
 pub fn campaign_from_value(value: &Json) -> Result<CampaignSpec, SpecError> {
     let obj = expect_obj(value, "spec")?;
     let name = require_str(obj, "name", "spec")?.to_string();
@@ -131,6 +132,19 @@ pub fn campaign_from_value(value: &Json) -> Result<CampaignSpec, SpecError> {
     }
     if let Some(v) = obj.get("sim") {
         spec.sim = sim_from_value(v)?;
+    }
+    // Only the single-switch simulator buffers whole packets in VCs;
+    // the network engine does not read the VC depth.
+    if spec.topology == Topology::SingleSwitch
+        && spec.sim.packet_len_flits > spec.sim.vc_depth_flits
+    {
+        return Err(invalid(
+            "sim.packet_len",
+            format!(
+                "a {}-flit packet does not fit a {}-flit VC buffer",
+                spec.sim.packet_len_flits, spec.sim.vc_depth_flits
+            ),
+        ));
     }
     // Execution knob, not part of the canonical schema: accepted here
     // so campaign files can request sharding, but never emitted by
@@ -379,6 +393,10 @@ fn sim_from_value(value: &Json) -> Result<SimParams, SpecError> {
     let mut sim = SimParams::new();
     if let Some(v) = value.get("vcs") {
         sim.vcs = as_usize(v, "sim.vcs")?;
+        // A port's VC occupancy mask is one `u64`.
+        if !(1..=64).contains(&sim.vcs) {
+            return Err(invalid("sim.vcs", "expected 1 to 64 virtual channels"));
+        }
     }
     if let Some(v) = value.get("vc_depth") {
         sim.vc_depth_flits = as_usize(v, "sim.vc_depth")?;
@@ -585,13 +603,27 @@ mod tests {
             (r#"{"name":"x","schemes":["clrg"]}"#, "schemes[0]"),
             (r#"{"name":"x","topology":"ring"}"#, "topology"),
             ("[]", "spec"),
+            // Each of these parsed and, given a fabric, panicked the
+            // worker.
+            (r#"{"name":"x","sim":{"vcs":0}}"#, "sim.vcs"),
+            (r#"{"name":"x","sim":{"vcs":65}}"#, "sim.vcs"),
+            (
+                r#"{"name":"x","sim":{"packet_len":8,"vc_depth":4}}"#,
+                "sim.packet_len",
+            ),
+            (r#"{"name":"x","sim":{"vc_depth":0}}"#, "sim.packet_len"),
         ] {
             let err = campaign_from_json(text).unwrap_err();
+            assert!(matches!(err, SpecError::Invalid { .. }), "{text}: {err}");
             assert!(
                 err.to_string().contains(fragment),
                 "{text}: {err} should mention {fragment}"
             );
         }
+        // The network engine does not read the VC depth, so a mesh may
+        // carry packets longer than it.
+        let mesh = r#"{"name":"x","topology":{"kind":"mesh","cols":2,"rows":2,"ports_per_direction":1},"sim":{"packet_len":8,"vc_depth":4}}"#;
+        assert!(campaign_from_json(mesh).is_ok());
         assert!(matches!(
             campaign_from_json("{not json").unwrap_err(),
             SpecError::Json(_)

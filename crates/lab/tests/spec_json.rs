@@ -216,6 +216,11 @@ fn random_spec(round: usize, rng: &mut StdRng) -> CampaignSpec {
     sim.vcs = rng.gen_range(1usize..8);
     sim.vc_depth_flits = rng.gen_range(1usize..8);
     sim.packet_len_flits = rng.gen_range(1usize..8);
+    // A single-switch packet must fit one VC buffer (the parser rejects
+    // the rest); the network engine does not read the VC depth.
+    if spec.topology == Topology::SingleSwitch {
+        sim.vc_depth_flits = sim.vc_depth_flits.max(sim.packet_len_flits);
+    }
     if rng.gen_bool(0.3) {
         sim = sim.window(Some(rng.gen_range(1usize..16)));
     }

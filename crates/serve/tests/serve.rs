@@ -134,6 +134,12 @@ fn malformed_input_gets_typed_errors_and_the_connection_survives() {
             "{\"op\":\"submit\",\"spec\":{\"name\":\"x\",\"fabrics\":[{\"kind\":\"hirise\",\"radix\":10,\"layers\":4}]}}",
             "bad_spec",
         ),
+        (
+            // A runnable grid with no virtual channels: rejected at
+            // admission, not by a worker panic.
+            "{\"op\":\"submit\",\"spec\":{\"name\":\"x\",\"fabrics\":[{\"kind\":\"2d\",\"radix\":8}],\"patterns\":[\"uniform\"],\"loads\":[0.1],\"sim\":{\"vcs\":0}}}",
+            "bad_spec",
+        ),
     ] {
         client.send(line);
         let response = client.recv_json();

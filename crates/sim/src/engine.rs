@@ -53,8 +53,8 @@ use hirise_core::{BitSet, Fabric};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum NetSchedule {
     /// Visit every node in every phase and arbitrate unconditionally,
-    /// like the pre-active-set engine. Kept as the control arm for the
-    /// `cyclebench --net-smoke` gate and the twin-identity tests.
+    /// like the pre-active-set engine. Kept as the control arm for
+    /// `cyclebench`'s schedule floor and the twin-identity tests.
     Dense,
     /// Walk only the active sets; idle routers cost nothing. The
     /// default — telemetry is byte-identical to [`Dense`](Self::Dense)

@@ -10,7 +10,7 @@
 //! desynchronise from the dense run).
 
 use hirise_core::rng::derive_stream_seed;
-use hirise_core::{Fabric, Fault, FaultSite, HiRiseConfig, HiRiseSwitch};
+use hirise_core::{ArbitrationScheme, Fabric, Fault, FaultSite, HiRiseConfig, HiRiseSwitch};
 use hirise_sim::dragonfly::{DragonflyConfig, DragonflyGeometry};
 use hirise_sim::mesh_sim::{MeshReport, MeshSimConfig};
 use hirise_sim::shard::{sharded_mesh, ShardedConfig, ShardedSim};
@@ -29,14 +29,13 @@ fn switch16() -> HiRiseConfig {
 /// The shard_identity mesh shape (4x2 radix-16 nodes, 64 cores) at a
 /// load low enough that routers actually go idle — otherwise the
 /// active set degenerates to "everyone" and the test proves nothing.
-fn mesh_cfg(schedule: NetSchedule) -> MeshSimConfig {
+fn mesh_cfg() -> MeshSimConfig {
     MeshSimConfig::new(4, 2, 2)
         .injection_rate(0.01)
         .warmup(100)
         .measure(600)
         .drain(600)
         .seed(0x5C_11ED)
-        .schedule(schedule)
 }
 
 /// The shard_identity fault mix: dead TSV bundles on every third node,
@@ -60,40 +59,67 @@ fn faulty_switch(node: usize, seed: u64) -> HiRiseSwitch {
     switch
 }
 
-fn run_mesh(schedule: NetSchedule) -> (MeshReport, u64, u64) {
-    let cfg = mesh_cfg(schedule);
-    let mut sim = sharded_mesh(
-        &cfg,
-        16,
-        1,
-        |node| faulty_switch(node, 0x5C_11ED),
-        || Box::new(UniformRandom::new(64)) as Box<dyn TrafficPattern>,
-    );
+/// Builds node `n`'s switch.
+type MakeSwitch<'a> = &'a dyn Fn(usize) -> HiRiseSwitch;
+
+fn run_mesh(cfg: &MeshSimConfig, cores: usize, switch: MakeSwitch) -> (MeshReport, u64, u64) {
+    let mut sim = sharded_mesh(cfg, 16, 1, switch, || {
+        Box::new(UniformRandom::new(cores)) as Box<dyn TrafficPattern>
+    });
     let report = sim.run();
     (report, sim.active_node_cycles(), sim.fault_event_count())
 }
 
 #[test]
 fn mesh_active_set_is_byte_identical_to_dense() {
-    let (dense, dense_active, dense_faults) = run_mesh(NetSchedule::Dense);
-    let (active, active_active, active_faults) = run_mesh(NetSchedule::ActiveSet);
-    assert!(dense.completed_measured() > 0, "nothing simulated");
-    assert_eq!(active, dense, "schedules disagree on telemetry");
-    assert_eq!(
-        active_faults, dense_faults,
-        "skipping changed the fault event stream"
-    );
-    // The schedules must do *different amounts of work* for identical
-    // results — at this load most routers are idle most cycles, so the
-    // active set has to be strictly smaller than the dense sweep.
-    assert!(
-        active_active < dense_active,
-        "active set never skipped anything ({active_active} vs {dense_active} node-cycles)"
-    );
+    let faulty = |node| faulty_switch(node, 0x5C_11ED);
+    // A fault-free 4x4 mesh (128 cores) of 4-layer, c = 4, L-2-L LRG
+    // switches.
+    let l2l = HiRiseConfig::builder(16, 4)
+        .channel_multiplicity(4)
+        .scheme(ArbitrationScheme::LayerToLayerLrg)
+        .build()
+        .expect("valid configuration");
+    let clean = |_node| HiRiseSwitch::new(&l2l);
+    let cases: [(&str, MeshSimConfig, usize, MakeSwitch); 2] = [
+        ("faulty 4x2", mesh_cfg(), 64, &faulty),
+        (
+            "4x4",
+            MeshSimConfig::new(4, 4, 2)
+                .injection_rate(0.01)
+                .warmup(100)
+                .measure(1_000)
+                .drain(1_000)
+                .seed(0xC1C1_EB00),
+            128,
+            &clean,
+        ),
+    ];
+    for (case, cfg, cores, switch) in cases {
+        let (dense, dense_active, dense_faults) =
+            run_mesh(&cfg.clone().schedule(NetSchedule::Dense), cores, switch);
+        let (active, active_active, active_faults) =
+            run_mesh(&cfg.schedule(NetSchedule::ActiveSet), cores, switch);
+        assert!(dense.completed_measured() > 0, "{case}: nothing simulated");
+        assert_eq!(active, dense, "{case}: schedules disagree on telemetry");
+        assert_eq!(
+            active_faults, dense_faults,
+            "{case}: skipping changed the fault event stream"
+        );
+        // The schedules must do *different amounts of work* for
+        // identical results — at this load most routers are idle most
+        // cycles, so the active set has to be strictly smaller than the
+        // dense sweep.
+        assert!(
+            active_active < dense_active,
+            "{case}: active set never skipped anything \
+             ({active_active} vs {dense_active} node-cycles)"
+        );
+    }
 }
 
 fn run_sharded_mesh(schedule: NetSchedule, shards: usize) -> MeshReport {
-    let cfg = mesh_cfg(schedule);
+    let cfg = mesh_cfg().schedule(schedule);
     let mut sim = sharded_mesh(
         &cfg,
         16,

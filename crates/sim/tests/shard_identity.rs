@@ -6,7 +6,9 @@
 //! engine's router cycle with the single-switch `NetworkSim`.
 
 use hirise_core::rng::{derive_stream_seed, StdRng};
-use hirise_core::{Fabric, Fault, FaultSite, HiRiseConfig, HiRiseSwitch, Switch2d};
+use hirise_core::{
+    ArbitrationScheme, Fabric, Fault, FaultSite, HiRiseConfig, HiRiseSwitch, Switch2d,
+};
 use hirise_core::{InputId, OutputId};
 use hirise_sim::dragonfly::{DragonflyConfig, DragonflyGeometry};
 use hirise_sim::mesh_sim::{MeshPortMap, MeshReport, MeshSimConfig};
@@ -35,32 +37,67 @@ fn mesh_cfg() -> MeshSimConfig {
         .seed(0xC0FFEE)
 }
 
-fn run_mesh(cfg: &MeshSimConfig, shards: usize) -> MeshReport {
-    let switch_cfg = switch16();
+fn run_mesh(
+    cfg: &MeshSimConfig,
+    switch_cfg: &HiRiseConfig,
+    cores: usize,
+    shards: usize,
+) -> MeshReport {
     let mut sim = sharded_mesh(
         cfg,
         16,
         shards,
-        |_node| HiRiseSwitch::new(&switch_cfg),
-        || Box::new(UniformRandom::new(64)) as Box<dyn TrafficPattern>,
+        |_node| HiRiseSwitch::new(switch_cfg),
+        || Box::new(UniformRandom::new(cores)) as Box<dyn TrafficPattern>,
     );
     sim.run()
 }
 
 #[test]
 fn sharded_mesh_is_byte_identical_to_unsharded() {
-    for map in [
+    let small = [
         MeshPortMap::Contiguous,
         MeshPortMap::LayerAware { layers: 2 },
-    ] {
-        let cfg = mesh_cfg().port_map(map);
-        let reference = run_mesh(&cfg, 1);
-        assert!(reference.completed_measured() > 0, "nothing simulated");
-        for shards in SHARD_COUNTS {
+    ]
+    .map(|map| {
+        let case = format!("4x2 {map:?}");
+        (
+            case,
+            mesh_cfg().port_map(map),
+            switch16(),
+            64,
+            &SHARD_COUNTS[..],
+        )
+    });
+    // A saturated 4x4 mesh (128 cores at load 0.1) of 4-layer, c = 4,
+    // L-2-L LRG switches, split into four shards of four nodes each.
+    let saturated = (
+        "saturated 4x4".to_string(),
+        MeshSimConfig::new(4, 4, 2)
+            .injection_rate(0.1)
+            .warmup(0)
+            .measure(2_000)
+            .drain(600)
+            .seed(0xC1C1_EB00),
+        HiRiseConfig::builder(16, 4)
+            .channel_multiplicity(4)
+            .scheme(ArbitrationScheme::LayerToLayerLrg)
+            .build()
+            .expect("valid configuration"),
+        128,
+        &[4][..],
+    );
+    for (case, cfg, switch_cfg, cores, shard_counts) in small.into_iter().chain([saturated]) {
+        let reference = run_mesh(&cfg, &switch_cfg, cores, 1);
+        assert!(
+            reference.completed_measured() > 0,
+            "{case}: nothing simulated"
+        );
+        for &shards in shard_counts {
             assert_eq!(
-                run_mesh(&cfg, shards),
+                run_mesh(&cfg, &switch_cfg, cores, shards),
                 reference,
-                "{map:?} sharded mesh diverged from the reference at {shards} shards"
+                "{case} sharded mesh diverged from the reference at {shards} shards"
             );
         }
     }
