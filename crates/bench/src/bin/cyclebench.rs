@@ -18,12 +18,16 @@
 //! (4x4 mesh, 36-router dragonfly instead of 8x8 and 114 routers).
 //!
 //! Methodology: each simulation runs uniform random traffic from a
-//! fixed seed, is warmed up untimed, then stepped through `reps` timed
-//! segments; the reported number is the median cycles/sec across
-//! segments (mean of the two middle segments when `reps` is even). The
-//! invariant checker is off (it is a debugging aid, not part of the
-//! cycle loop). Both arms of a comparison simulate the same history, so
-//! only wall-clock time differs.
+//! fixed seed and is warmed up untimed. The two arms of a comparison
+//! then take turns: every rep times one short segment of each,
+//! alternating which arm goes first, so a host slow spell lands on both
+//! halves of a rep instead of on one arm's segments. A cell or row is
+//! gated on the median of the per-rep ratios (mean of the two middle
+//! ones when `reps` is even), which holds as long as fewer than half the
+//! reps straddle the edge of a spell; the printed cycles/sec are each
+//! arm's median segment. The invariant checker is off (it is a
+//! debugging aid, not part of the cycle loop). Both arms simulate the
+//! same history, so only wall-clock time differs.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -73,8 +77,8 @@ const NET_SMOKE_INJECTION: f64 = 0.01;
 const NET_RADIX: usize = 16;
 const NET_PPD: usize = 2;
 
-/// Benchmark scale: untimed warmup, then `reps` timed segments of
-/// `cycles_per_rep` cycles each, and the schedule rows' shapes.
+/// Benchmark scale: untimed warmup, then `reps` timed reps of one
+/// `cycles_per_rep`-cycle segment per arm, and the schedule rows' shapes.
 struct Scale {
     warmup_cycles: u64,
     cycles_per_rep: u64,
@@ -91,8 +95,8 @@ impl Scale {
     fn full() -> Self {
         Self {
             warmup_cycles: 2_000,
-            cycles_per_rep: 20_000,
-            reps: 5,
+            cycles_per_rep: 2_000,
+            reps: 31,
             mesh_dim: 8,
             dragonfly: (6, 6, 3, 19),
         }
@@ -102,8 +106,8 @@ impl Scale {
     fn quick() -> Self {
         Self {
             warmup_cycles: 500,
-            cycles_per_rep: 2_000,
-            reps: 3,
+            cycles_per_rep: 200,
+            reps: 31,
             mesh_dim: 4,
             dragonfly: (4, 4, 2, 9),
         }
@@ -163,22 +167,52 @@ fn median(values: &mut [f64]) -> f64 {
     }
 }
 
-/// Median simulated cycles/sec of `step`, which advances a simulation
-/// by the given number of cycles, across the scale's timed segments.
-fn time_cycles(scale: &Scale, mut step: impl FnMut(u64)) -> f64 {
-    step(scale.warmup_cycles);
-    let mut cycles_per_sec: Vec<f64> = (0..scale.reps)
-        .map(|_| {
-            let start = Instant::now();
-            step(scale.cycles_per_rep);
-            scale.cycles_per_rep as f64 / start.elapsed().as_secs_f64().max(1e-9)
-        })
-        .collect();
-    median(&mut cycles_per_sec)
+/// Cycles/sec of one timed segment of `cycles` cycles.
+fn segment(cycles: u64, step: &mut impl FnMut(u64)) -> f64 {
+    let start = Instant::now();
+    step(cycles);
+    cycles as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
-/// Times one (fabric, radix) cell of the kernel grid under one kernel.
-fn measure_kernel(fabric: &str, radix: usize, kernel: ArbiterKernel, scale: &Scale) -> f64 {
+/// The outcome of timing two arms side by side.
+struct Paired {
+    /// Median cycles/sec of the base arm.
+    base: f64,
+    /// Median cycles/sec of the compared arm.
+    arm: f64,
+    /// Median over reps of the compared arm's rate over the base arm's.
+    ratio: f64,
+}
+
+/// Warms `base` and `arm` up untimed, then times one segment of each
+/// per rep, alternating which goes first.
+fn time_pair(scale: &Scale, mut base: impl FnMut(u64), mut arm: impl FnMut(u64)) -> Paired {
+    base(scale.warmup_cycles);
+    arm(scale.warmup_cycles);
+    let cycles = scale.cycles_per_rep;
+    let (mut bases, mut arms, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for rep in 0..scale.reps {
+        let (b, a) = if rep % 2 == 0 {
+            let b = segment(cycles, &mut base);
+            (b, segment(cycles, &mut arm))
+        } else {
+            let a = segment(cycles, &mut arm);
+            (segment(cycles, &mut base), a)
+        };
+        bases.push(b);
+        arms.push(a);
+        ratios.push(a / b);
+    }
+    Paired {
+        base: median(&mut bases),
+        arm: median(&mut arms),
+        ratio: median(&mut ratios),
+    }
+}
+
+/// One (fabric, radix) cell of the kernel grid under one kernel, as a
+/// function stepping it by a number of cycles.
+fn kernel_sim(fabric: &str, radix: usize, kernel: ArbiterKernel) -> impl FnMut(u64) {
     let cfg = SimConfig::new(radix)
         .injection_rate(INJECTION_RATE)
         .warmup(0)
@@ -191,18 +225,19 @@ fn measure_kernel(fabric: &str, radix: usize, kernel: ArbiterKernel, scale: &Sca
         cfg,
     );
     let mut report = sim.report();
-    time_cycles(scale, |cycles| sim.run_cycles(&mut report, cycles))
+    move |cycles| sim.run_cycles(&mut report, cycles)
 }
 
 fn uniform(endpoints: usize) -> impl FnMut() -> Box<dyn TrafficPattern> {
     move || Box::new(UniformRandom::new(endpoints))
 }
 
-/// Times the schedule row `sim` (`"mesh"` or `"dragonfly"`) under one
-/// schedule at one shard.
-fn measure_schedule(sim: &str, schedule: NetSchedule, scale: &Scale) -> f64 {
+/// The schedule row `sim` (`"mesh"` or `"dragonfly"`) under one
+/// schedule at one shard, as a function stepping it by a number of
+/// cycles.
+fn schedule_sim(sim: &str, schedule: NetSchedule, scale: &Scale) -> Box<dyn FnMut(u64)> {
     let switch_cfg = hirise_cfg(NET_RADIX);
-    let switch = |_node| HiRiseSwitch::new(&switch_cfg);
+    let switch = move |_node| HiRiseSwitch::new(&switch_cfg);
     if sim == "mesh" {
         let dim = scale.mesh_dim;
         let cfg = MeshSimConfig::new(dim, dim, NET_PPD)
@@ -213,7 +248,7 @@ fn measure_schedule(sim: &str, schedule: NetSchedule, scale: &Scale) -> f64 {
             .schedule(schedule);
         let cores = dim * dim * (NET_RADIX - 4 * NET_PPD);
         let mut sim = sharded_mesh(&cfg, NET_RADIX, 1, switch, uniform(cores));
-        time_cycles(scale, |cycles| sim.run_cycles(cycles))
+        Box::new(move |cycles| sim.run_cycles(cycles))
     } else {
         let (a, p, h, g) = scale.dragonfly;
         let geo = DragonflyGeometry::new(DragonflyConfig::new(a, p, h, g), NET_RADIX, &[])
@@ -225,7 +260,7 @@ fn measure_schedule(sim: &str, schedule: NetSchedule, scale: &Scale) -> f64 {
             .seed(SEED)
             .schedule(schedule);
         let mut sim = ShardedSim::new(geo, cfg, 1, switch, uniform(a * g * p));
-        time_cycles(scale, |cycles| sim.run_cycles(cycles))
+        Box::new(move |cycles| sim.run_cycles(cycles))
     }
 }
 
@@ -242,7 +277,7 @@ fn main() -> ExitCode {
 
     println!(
         "cyclebench: word vs scalar kernel at injection {INJECTION_RATE}, \
-         {} cycles x {} reps per cell (floor {SMOKE_FLOOR}x)\n",
+         {} cycles x {} alternated reps per cell, median paired ratio (floor {SMOKE_FLOOR}x)\n",
         scale.cycles_per_rep, scale.reps
     );
     println!(
@@ -251,9 +286,15 @@ fn main() -> ExitCode {
     );
     for fabric in FABRICS {
         for radix in RADICES {
-            let scalar = measure_kernel(fabric, radix, ArbiterKernel::Scalar, &scale);
-            let word = measure_kernel(fabric, radix, ArbiterKernel::Word, &scale);
-            let ratio = word / scalar;
+            let Paired {
+                base: scalar,
+                arm: word,
+                ratio,
+            } = time_pair(
+                &scale,
+                kernel_sim(fabric, radix, ArbiterKernel::Scalar),
+                kernel_sim(fabric, radix, ArbiterKernel::Word),
+            );
             println!("{fabric:<10} {radix:>5} {scalar:>15.0} {word:>15.0} {ratio:>7.2}x");
             if ratio < SMOKE_FLOOR {
                 failures.push(format!(
@@ -266,7 +307,7 @@ fn main() -> ExitCode {
 
     println!(
         "\ncyclebench: active-set vs dense schedule at injection {NET_SMOKE_INJECTION}, \
-         {} cycles x {} reps per row (floor {NET_SMOKE_FLOOR}x)\n",
+         {} cycles x {} alternated reps per row, median paired ratio (floor {NET_SMOKE_FLOOR}x)\n",
         scale.cycles_per_rep, scale.reps
     );
     println!(
@@ -275,9 +316,15 @@ fn main() -> ExitCode {
     );
     let (a, _, _, g) = scale.dragonfly;
     for (sim, nodes) in [("mesh", scale.mesh_dim.pow(2)), ("dragonfly", a * g)] {
-        let dense = measure_schedule(sim, NetSchedule::Dense, &scale);
-        let active = measure_schedule(sim, NetSchedule::ActiveSet, &scale);
-        let ratio = active / dense;
+        let Paired {
+            base: dense,
+            arm: active,
+            ratio,
+        } = time_pair(
+            &scale,
+            schedule_sim(sim, NetSchedule::Dense, &scale),
+            schedule_sim(sim, NetSchedule::ActiveSet, &scale),
+        );
         println!("{sim:<10} {nodes:>6} {dense:>15.0} {active:>15.0} {ratio:>7.2}x");
         if ratio < NET_SMOKE_FLOOR {
             failures.push(format!(

@@ -10,6 +10,65 @@
 //! saturates all counters in the sub-block are divided by two, which
 //! preserves the relative class ordering (the `Div2` block of Fig. 7).
 
+/// The CLRG class counters of `count` sub-blocks over `n` primary
+/// inputs each, in one array (`counters[m * n + input]`): the counter
+/// kernel behind [`ClrgState`] and a Hi-Rise switch's per-output
+/// sub-blocks.
+#[derive(Clone, Debug)]
+pub(crate) struct ClrgBank {
+    counters: Vec<u8>,
+    n: usize,
+    max: u8,
+    halve_on_saturation: bool,
+}
+
+impl ClrgBank {
+    /// # Panics
+    ///
+    /// Panics if `classes < 2` (a single class degenerates to plain LRG).
+    pub(crate) fn new(count: usize, n: usize, classes: u8) -> Self {
+        assert!(classes >= 2, "CLRG needs at least 2 classes");
+        Self {
+            counters: vec![0; count * n],
+            n,
+            max: classes - 1,
+            halve_on_saturation: true,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn classes(&self) -> u8 {
+        self.max + 1
+    }
+
+    /// Sub-block `m`'s counters, indexed by primary input.
+    #[inline]
+    pub(crate) fn counters(&self, m: usize) -> &[u8] {
+        &self.counters[m * self.n..(m + 1) * self.n]
+    }
+
+    /// Records that `input` won sub-block `m`: its counter increments,
+    /// after halving every counter of the sub-block if it was saturated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` is out of range.
+    pub(crate) fn record_win(&mut self, m: usize, input: usize) {
+        assert!(input < self.n, "input {input} out of range");
+        let counters = &mut self.counters[m * self.n..(m + 1) * self.n];
+        if counters[input] == self.max {
+            if self.halve_on_saturation {
+                for c in counters.iter_mut() {
+                    *c /= 2;
+                }
+            } else {
+                return; // stuck at the maximum class
+            }
+        }
+        counters[input] += 1;
+    }
+}
+
 /// Per-output CLRG class counters over `n` primary inputs.
 ///
 /// The paper's hardware uses a 2-bit thermometer counter
@@ -18,9 +77,7 @@
 /// is a heuristic that needs to be tuned").
 #[derive(Clone, Debug)]
 pub struct ClrgState {
-    counters: Vec<u8>,
-    max: u8,
-    halve_on_saturation: bool,
+    bank: ClrgBank,
 }
 
 impl ClrgState {
@@ -31,37 +88,34 @@ impl ClrgState {
     ///
     /// Panics if `classes < 2` (a single class degenerates to plain LRG).
     pub fn new(n: usize, classes: u8) -> Self {
-        assert!(classes >= 2, "CLRG needs at least 2 classes");
         Self {
-            counters: vec![0; n],
-            max: classes - 1,
-            halve_on_saturation: true,
+            bank: ClrgBank::new(1, n, classes),
         }
     }
 
     /// Disables the divide-by-2 on saturation (counters stick at the
     /// maximum class instead). Ablation knob; the paper's design halves.
     pub fn without_halving(mut self) -> Self {
-        self.halve_on_saturation = false;
+        self.bank.halve_on_saturation = false;
         self
     }
 
     /// Number of primary inputs tracked.
     #[inline]
     pub fn len(&self) -> usize {
-        self.counters.len()
+        self.bank.n
     }
 
     /// Whether zero inputs are tracked.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
+        self.bank.n == 0
     }
 
     /// Number of priority classes.
     #[inline]
     pub fn classes(&self) -> u8 {
-        self.max + 1
+        self.bank.classes()
     }
 
     /// Priority class of `input` (0 is the highest priority).
@@ -71,7 +125,7 @@ impl ClrgState {
     /// Panics if `input` is out of range.
     #[inline]
     pub fn class_of(&self, input: usize) -> u8 {
-        self.counters[input]
+        self.bank.counters(0)[input]
     }
 
     /// Records that `input` won this output: its counter increments,
@@ -82,17 +136,7 @@ impl ClrgState {
     ///
     /// Panics if `input` is out of range.
     pub fn record_win(&mut self, input: usize) {
-        assert!(input < self.counters.len(), "input {input} out of range");
-        if self.counters[input] == self.max {
-            if self.halve_on_saturation {
-                for c in &mut self.counters {
-                    *c /= 2;
-                }
-            } else {
-                return; // stuck at the maximum class
-            }
-        }
-        self.counters[input] += 1;
+        self.bank.record_win(0, input);
     }
 
     /// The lowest (best) class among `contenders`, or `None` if empty.

@@ -10,57 +10,84 @@
 //! local switch computes a phase-1 winner every cycle but only commits the
 //! priority update when that winner also wins the inter-layer arbitration
 //! (the back-propagated update of §III-B1 that prevents starvation).
+//!
+//! Every LRG in the crate runs one row kernel, `LrgBank`: a switch
+//! keeps all of its matrices of one size as rows of one word array, and
+//! the standalone [`MatrixArbiter`] is a bank of one.
 
 use crate::bits::BitSet;
 
-/// An `n`-way LRG matrix arbiter.
+/// A bank of equal-size LRG matrices stored as rows of one contiguous
+/// word array: the row kernel every LRG arbiter in the crate runs on.
 ///
-/// The priority relation is kept antisymmetric and total: for any two
-/// distinct requestors exactly one outranks the other, so every non-empty
-/// request set has exactly one winner.
-///
-/// The matrix is stored row-major in one contiguous word arena (row `i`
-/// occupies `words[i*w..(i+1)*w]`): `grant` reads rows with no pointer
-/// chasing and `update` is a linear sweep the compiler can vectorize,
-/// which is what makes per-cycle arbitration cheap at radix 64.
+/// Matrix `m` of an `n`-way bank occupies `n` rows of `w = ceil(n / 64)`
+/// words each, at `words[m * n * w..(m + 1) * n * w]`; bit `j` of row
+/// `i` is set iff requestor `i` outranks `j`. A switch keeps each of its
+/// arbiter banks (Hi-Rise's local-switch columns and per-output
+/// sub-blocks, a 2D switch's output columns) in one bank, so an
+/// arbitration touches a few adjacent cache lines instead of one heap
+/// allocation per arbiter. [`MatrixArbiter`] is a bank of one.
 #[derive(Clone, Debug)]
-pub struct MatrixArbiter {
-    /// Row-major priority words; bit `j` of row `i` iff `i` outranks `j`.
+pub(crate) struct LrgBank {
     words: Vec<u64>,
+    /// Requestors per matrix.
+    n: usize,
     /// Words per row, `ceil(n / 64)`.
     w: usize,
-    n: usize,
 }
 
-impl MatrixArbiter {
-    /// Creates an arbiter over `n` requestors with the default initial
-    /// order: lower indices outrank higher ones.
-    pub fn new(n: usize) -> Self {
-        let order: Vec<usize> = (0..n).collect();
-        Self::with_order(&order)
+impl LrgBank {
+    /// `count` matrices over `n` requestors, each in the default order
+    /// (lower indices outrank higher ones).
+    pub(crate) fn new(count: usize, n: usize) -> Self {
+        let w = n.div_ceil(64);
+        let mut words = vec![0u64; count * n * w];
+        for block in words.chunks_exact_mut((n * w).max(1)) {
+            for (i, row) in block.chunks_exact_mut(w).enumerate() {
+                // Row `i` holds every requestor ranked below it: `i+1..n`.
+                for (v, word) in row.iter_mut().enumerate() {
+                    let lo = (i + 1).max(v * 64);
+                    let hi = n.min(v * 64 + 64);
+                    if lo < hi {
+                        *word = (!0u64 >> (64 - (hi - lo))) << (lo - v * 64);
+                    }
+                }
+            }
+        }
+        Self { words, n, w }
     }
 
-    /// Creates an arbiter with an explicit initial priority order,
-    /// `order[0]` being the highest-priority requestor.
-    ///
-    /// This exists so tests can reproduce the paper's worked examples
-    /// (Figs. 4 and 5), which start from particular LRG states.
+    /// The rows of matrix `m`.
+    #[inline]
+    fn block(&self, m: usize) -> &[u64] {
+        let size = self.n * self.w;
+        &self.words[m * size..(m + 1) * size]
+    }
+
+    /// Row `i` of matrix `m`.
+    #[inline]
+    fn row(&self, m: usize, i: usize) -> &[u64] {
+        let start = (m * self.n + i) * self.w;
+        &self.words[start..start + self.w]
+    }
+
+    /// Replaces matrix `m`'s priority order, `order[0]` highest.
     ///
     /// # Panics
     ///
-    /// Panics if `order` is not a permutation of `0..order.len()`.
-    pub fn with_order(order: &[usize]) -> Self {
-        let n = order.len();
-        let w = n.div_ceil(64);
+    /// Panics if `order` is not a permutation of `0..n`.
+    pub(crate) fn seed(&mut self, m: usize, order: &[usize]) {
+        let n = self.n;
+        assert_eq!(order.len(), n, "order must be a permutation of 0..n");
         let mut seen = vec![false; n];
         for &r in order {
             assert!(r < n && !seen[r], "order must be a permutation of 0..n");
             seen[r] = true;
         }
-        let mut words = vec![0u64; n * w];
         // A requestor's row is exactly the set of requestors ranked below
         // it, so a running "everyone not yet placed" set fills each row
         // with one word-level copy instead of an O(n²) per-bit loop.
+        let w = self.w;
         let mut below = BitSet::new(n);
         for (rank, &winner) in order.iter().enumerate() {
             if rank == 0 {
@@ -68,66 +95,27 @@ impl MatrixArbiter {
             } else {
                 below.remove(winner);
             }
-            words[winner * w..(winner + 1) * w].copy_from_slice(below.words());
+            let start = (m * n + winner) * w;
+            self.words[start..start + w].copy_from_slice(below.words());
         }
-        Self { words, w, n }
     }
 
-    /// Row `i` as a word slice.
+    /// Whether requestor `a` outranks `b` in matrix `m`.
     #[inline]
-    fn row(&self, i: usize) -> &[u64] {
-        &self.words[i * self.w..(i + 1) * self.w]
+    pub(crate) fn outranks(&self, m: usize, a: usize, b: usize) -> bool {
+        self.row(m, a)[b / 64] >> (b % 64) & 1 == 1
     }
 
-    /// Number of requestors.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the arbiter has zero requestors.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Returns whether requestor `a` currently outranks requestor `b`.
+    /// Matrix `m`'s highest-priority requestor among `requests`, or
+    /// `None` for an empty set. State is not changed.
     ///
     /// # Panics
     ///
-    /// Panics if either index is out of range or `a == b`.
-    pub fn outranks(&self, a: usize, b: usize) -> bool {
-        assert!(a != b, "a requestor does not outrank itself");
-        assert!(a < self.n && b < self.n, "requestor out of range");
-        self.row(a)[b / 64] >> (b % 64) & 1 == 1
-    }
-
-    /// Picks the highest-priority requestor among `requests`, without
-    /// changing any state. Returns `None` when `requests` is empty.
-    ///
-    /// Duplicates in `requests` are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn grant(&self, requests: &[usize]) -> Option<usize> {
-        let mut mask = BitSet::new(self.n);
-        for &r in requests {
-            assert!(r < self.n, "requestor {r} out of range");
-            mask.insert(r);
-        }
-        self.grant_mask(&mask)
-    }
-
-    /// As [`grant`](Self::grant), but taking a pre-built request mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask capacity differs from the arbiter size.
-    pub fn grant_mask(&self, requests: &BitSet) -> Option<usize> {
+    /// Panics if the mask capacity differs from the matrix size.
+    pub(crate) fn grant_mask(&self, m: usize, requests: &BitSet) -> Option<usize> {
         assert_eq!(requests.capacity(), self.n, "request mask size mismatch");
         requests.iter().find(|&candidate| {
-            let row = self.row(candidate);
+            let row = self.row(m, candidate);
             requests.words().iter().enumerate().all(|(v, &need)| {
                 let need = if v == candidate / 64 {
                     need & !(1u64 << (candidate % 64))
@@ -139,27 +127,31 @@ impl MatrixArbiter {
         })
     }
 
-    /// As [`grant_mask`](Self::grant_mask), but taking the request set as
-    /// raw words (`requests[w]` holds requestors `64w..64w+63`) — the
-    /// word-parallel kernel entry point. `W` must equal the arbiter's
-    /// word count (`ceil(n / 64)`), and bits at or beyond `n` must be
-    /// zero; both are debug-asserted. Candidates are scanned in
-    /// ascending index order with masked word ops against the priority
-    /// rows, so the result is identical to `grant_mask` on the same set.
+    /// As [`grant_mask`](Self::grant_mask) over `W` raw request words
+    /// (`requests[v]` holds requestors `64v..64v+63`). `W` must equal
+    /// the row width and bits at or beyond `n` must be zero (both
+    /// debug-asserted). Candidates are scanned in ascending index order
+    /// with masked word ops against the rows, so the winner is the one
+    /// `grant_mask` picks on the same set.
     #[inline]
-    pub fn grant_words<const W: usize>(&self, requests: &[u64; W]) -> Option<usize> {
-        debug_assert_eq!(W, self.n.div_ceil(64), "word count mismatch");
+    pub(crate) fn grant_words<const W: usize>(
+        &self,
+        m: usize,
+        requests: &[u64; W],
+    ) -> Option<usize> {
+        debug_assert_eq!(W, self.w, "word count mismatch");
         debug_assert!(
             self.n.is_multiple_of(64) || requests[W - 1] & !((1u64 << (self.n % 64)) - 1) == 0,
             "request bits beyond the arbiter size"
         );
+        let block = self.block(m);
         for word in 0..W {
             let mut rest = requests[word];
             while rest != 0 {
                 let candidate_bit = rest & rest.wrapping_neg();
                 let candidate = word * 64 + rest.trailing_zeros() as usize;
                 rest &= rest - 1;
-                let row = self.row(candidate);
+                let row = &block[candidate * W..candidate * W + W];
                 let mut outranked = true;
                 for (v, &row_word) in row.iter().enumerate() {
                     let mut need = requests[v];
@@ -179,6 +171,173 @@ impl MatrixArbiter {
         None
     }
 
+    /// Commits an LRG update in matrix `m`: `winner` drops to the lowest
+    /// priority and every other requestor gains priority over it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `winner` is out of range.
+    #[inline]
+    pub(crate) fn update(&mut self, m: usize, winner: usize) {
+        assert!(winner < self.n, "winner {winner} out of range");
+        let (n, w) = (self.n, self.w);
+        let block = &mut self.words[m * n * w..(m + 1) * n * w];
+        if w == 1 {
+            // Single-word rows are contiguous, so the column sweep is a
+            // plain bounds-check-free pass the compiler vectorizes.
+            // Zeroing the winner's row afterwards both drops it below
+            // everybody and takes back the self-edge in one store. Every
+            // arbiter with n <= 64 takes this path — all of them, for the
+            // radices the paper evaluates — and a Hi-Rise grant runs it
+            // twice (local column + sub-block), so it is hot.
+            let mask = 1u64 << winner;
+            for row in block.iter_mut() {
+                *row |= mask;
+            }
+            block[winner] = 0;
+            return;
+        }
+        // The winner drops below everybody: zero its row…
+        block[winner * w..(winner + 1) * w].fill(0);
+        // …and set its bit in every row — then take back the self-edge.
+        let word = winner / 64;
+        let mask = 1u64 << (winner % 64);
+        for row in block.chunks_exact_mut(w) {
+            row[word] |= mask;
+        }
+        block[winner * w + word] &= !mask;
+    }
+
+    /// Matrix `m`'s priority order, highest first. O(n²); for tests and
+    /// debugging.
+    pub(crate) fn priority_order(&self, m: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.n).collect();
+        // Rank = number of requestors this one outranks; in a total order
+        // the ranks are all distinct.
+        order.sort_by_key(|&i| {
+            std::cmp::Reverse(self.row(m, i).iter().map(|w| w.count_ones()).sum::<u32>())
+        });
+        order
+    }
+
+    /// Matrix `m` copied out as a standalone arbiter (the circuit-model
+    /// cross-check reads one).
+    pub(crate) fn matrix(&self, m: usize) -> MatrixArbiter {
+        MatrixArbiter {
+            bank: Self {
+                words: self.block(m).to_vec(),
+                n: self.n,
+                w: self.w,
+            },
+        }
+    }
+}
+
+/// An `n`-way LRG matrix arbiter.
+///
+/// The priority relation is kept antisymmetric and total: for any two
+/// distinct requestors exactly one outranks the other, so every non-empty
+/// request set has exactly one winner.
+///
+/// The matrix is a one-matrix `LrgBank`, the row kernel every switch
+/// arbitrates with: row `i` occupies `words[i*w..(i+1)*w]`, so `grant`
+/// reads rows with no pointer chasing and `update` is a linear sweep the
+/// compiler can vectorize.
+#[derive(Clone, Debug)]
+pub struct MatrixArbiter {
+    bank: LrgBank,
+}
+
+impl MatrixArbiter {
+    /// Creates an arbiter over `n` requestors with the default initial
+    /// order: lower indices outrank higher ones.
+    pub fn new(n: usize) -> Self {
+        Self {
+            bank: LrgBank::new(1, n),
+        }
+    }
+
+    /// Creates an arbiter with an explicit initial priority order,
+    /// `order[0]` being the highest-priority requestor.
+    ///
+    /// This exists so tests can reproduce the paper's worked examples
+    /// (Figs. 4 and 5), which start from particular LRG states.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` is not a permutation of `0..order.len()`.
+    pub fn with_order(order: &[usize]) -> Self {
+        let mut arbiter = Self::new(order.len());
+        arbiter.bank.seed(0, order);
+        arbiter
+    }
+
+    /// Row `i` as a word slice.
+    #[cfg(test)]
+    fn row(&self, i: usize) -> &[u64] {
+        self.bank.row(0, i)
+    }
+
+    /// Number of requestors.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.bank.n
+    }
+
+    /// Whether the arbiter has zero requestors.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.bank.n == 0
+    }
+
+    /// Returns whether requestor `a` currently outranks requestor `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range or `a == b`.
+    pub fn outranks(&self, a: usize, b: usize) -> bool {
+        assert!(a != b, "a requestor does not outrank itself");
+        assert!(a < self.len() && b < self.len(), "requestor out of range");
+        self.bank.outranks(0, a, b)
+    }
+
+    /// Picks the highest-priority requestor among `requests`, without
+    /// changing any state. Returns `None` when `requests` is empty.
+    ///
+    /// Duplicates in `requests` are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of range.
+    pub fn grant(&self, requests: &[usize]) -> Option<usize> {
+        let mut mask = BitSet::new(self.len());
+        for &r in requests {
+            assert!(r < self.len(), "requestor {r} out of range");
+            mask.insert(r);
+        }
+        self.grant_mask(&mask)
+    }
+
+    /// As [`grant`](Self::grant), but taking a pre-built request mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask capacity differs from the arbiter size.
+    pub fn grant_mask(&self, requests: &BitSet) -> Option<usize> {
+        self.bank.grant_mask(0, requests)
+    }
+
+    /// As [`grant_mask`](Self::grant_mask), but taking the request set as
+    /// raw words (`requests[w]` holds requestors `64w..64w+63`) — the
+    /// word-parallel kernel entry point. `W` must equal the arbiter's
+    /// word count (`ceil(n / 64)`), and bits at or beyond `n` must be
+    /// zero; both are debug-asserted. The result is identical to
+    /// `grant_mask` on the same set.
+    #[inline]
+    pub fn grant_words<const W: usize>(&self, requests: &[u64; W]) -> Option<usize> {
+        self.bank.grant_words::<W>(0, requests)
+    }
+
     /// Commits an LRG update: `winner` drops to the lowest priority and
     /// every other requestor gains priority over it.
     ///
@@ -187,45 +346,13 @@ impl MatrixArbiter {
     /// Panics if `winner` is out of range.
     #[inline]
     pub fn update(&mut self, winner: usize) {
-        assert!(winner < self.n, "winner {winner} out of range");
-        let w = self.w;
-        if w == 1 {
-            // Single-word rows are contiguous, so the column sweep is a
-            // plain bounds-check-free pass the compiler vectorizes.
-            // Zeroing the winner's row afterwards both drops it below
-            // everybody and takes back the self-edge in one store. This
-            // is the path every arbiter with n <= 64 takes — all of
-            // them, for the radices the paper evaluates — and `update`
-            // runs twice per grant (local column + sub-block), so it is
-            // hot.
-            let mask = 1u64 << winner;
-            for row in &mut self.words {
-                *row |= mask;
-            }
-            self.words[winner] = 0;
-            return;
-        }
-        // The winner drops below everybody: zero its row…
-        self.words[winner * w..(winner + 1) * w].fill(0);
-        // …and set its bit in every row — then take back the self-edge.
-        let word = winner / 64;
-        let mask = 1u64 << (winner % 64);
-        for row in self.words.chunks_exact_mut(w) {
-            row[word] |= mask;
-        }
-        self.words[winner * w + word] &= !mask;
+        self.bank.update(0, winner);
     }
 
     /// Current priority order, highest first. Intended for tests and
     /// debugging; it is O(n²).
     pub fn priority_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.n).collect();
-        // Rank = number of requestors this one outranks; in a total order
-        // the ranks are all distinct.
-        order.sort_by_key(|&i| {
-            std::cmp::Reverse(self.row(i).iter().map(|w| w.count_ones()).sum::<u32>())
-        });
-        order
+        self.bank.priority_order(0)
     }
 }
 

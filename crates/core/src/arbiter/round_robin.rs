@@ -9,6 +9,97 @@
 
 use crate::bits::BitSet;
 
+/// The highest-priority requestor among `requests` for an `n`-way
+/// round-robin pointer at `next`: the first set bit at or after `next`,
+/// wrapping. The one grant rule behind [`RoundRobinArbiter`] and every
+/// pointer bank.
+fn grant_mask_at(next: usize, n: usize, requests: &BitSet) -> Option<usize> {
+    assert_eq!(requests.capacity(), n, "request mask size mismatch");
+    requests.iter().min_by_key(|&r| (r + n - next) % n)
+}
+
+/// As [`grant_mask_at`] over `W` raw request words. `W` must equal
+/// `ceil(n / 64)` and bits at or beyond `n` must be zero
+/// (debug-asserted).
+#[inline]
+fn grant_words_at<const W: usize>(next: usize, n: usize, requests: &[u64; W]) -> Option<usize> {
+    if n == 0 {
+        return None;
+    }
+    debug_assert_eq!(W, n.div_ceil(64), "word count mismatch");
+    debug_assert!(
+        n.is_multiple_of(64) || requests[W - 1] & !((1u64 << (n % 64)) - 1) == 0,
+        "request bits beyond the arbiter size"
+    );
+    let start_word = next / 64;
+    let start_bit = next % 64;
+    // At or after the pointer, within the pointer's word…
+    let high = requests[start_word] & (!0u64 << start_bit);
+    if high != 0 {
+        return Some(start_word * 64 + high.trailing_zeros() as usize);
+    }
+    // …then whole words after it…
+    for (w, &word) in requests.iter().enumerate().skip(start_word + 1) {
+        if word != 0 {
+            return Some(w * 64 + word.trailing_zeros() as usize);
+        }
+    }
+    // …then wrap: whole words before the pointer's word, and finally
+    // the bits below the pointer.
+    for (w, &word) in requests.iter().enumerate().take(start_word) {
+        if word != 0 {
+            return Some(w * 64 + word.trailing_zeros() as usize);
+        }
+    }
+    let low = requests[start_word] & !(!0u64 << start_bit);
+    if low != 0 {
+        return Some(start_word * 64 + low.trailing_zeros() as usize);
+    }
+    None
+}
+
+/// The pointer after `winner` was granted: it becomes the lowest
+/// priority next cycle.
+fn pointer_after(n: usize, winner: usize) -> usize {
+    assert!(winner < n, "winner {winner} out of range");
+    (winner + 1) % n
+}
+
+/// The rotating pointers of `count` independent `n`-way round-robin
+/// arbiters in one array (a Hi-Rise switch's round-robin local columns).
+#[derive(Clone, Debug)]
+pub(crate) struct RoundRobinBank {
+    next: Vec<u32>,
+    n: usize,
+}
+
+impl RoundRobinBank {
+    pub(crate) fn new(count: usize, n: usize) -> Self {
+        Self {
+            next: vec![0; count],
+            n,
+        }
+    }
+
+    pub(crate) fn grant_mask(&self, m: usize, requests: &BitSet) -> Option<usize> {
+        grant_mask_at(self.next[m] as usize, self.n, requests)
+    }
+
+    #[inline]
+    pub(crate) fn grant_words<const W: usize>(
+        &self,
+        m: usize,
+        requests: &[u64; W],
+    ) -> Option<usize> {
+        grant_words_at::<W>(self.next[m] as usize, self.n, requests)
+    }
+
+    #[inline]
+    pub(crate) fn update(&mut self, m: usize, winner: usize) {
+        self.next[m] = pointer_after(self.n, winner) as u32;
+    }
+}
+
 /// An `n`-way round-robin arbiter with a rotating highest-priority pointer.
 #[derive(Clone, Debug)]
 pub struct RoundRobinArbiter {
@@ -60,10 +151,7 @@ impl RoundRobinArbiter {
     ///
     /// Panics if the mask capacity differs from the arbiter size.
     pub fn grant_mask(&self, requests: &BitSet) -> Option<usize> {
-        assert_eq!(requests.capacity(), self.n, "request mask size mismatch");
-        requests
-            .iter()
-            .min_by_key(|&r| (r + self.n - self.next) % self.n)
+        grant_mask_at(self.next, self.n, requests)
     }
 
     /// As [`grant_mask`](Self::grant_mask), but taking the request set as
@@ -74,39 +162,7 @@ impl RoundRobinArbiter {
     /// which is exactly the `grant_mask` minimum-distance winner.
     #[inline]
     pub fn grant_words<const W: usize>(&self, requests: &[u64; W]) -> Option<usize> {
-        if self.n == 0 {
-            return None;
-        }
-        debug_assert_eq!(W, self.n.div_ceil(64), "word count mismatch");
-        debug_assert!(
-            self.n.is_multiple_of(64) || requests[W - 1] & !((1u64 << (self.n % 64)) - 1) == 0,
-            "request bits beyond the arbiter size"
-        );
-        let start_word = self.next / 64;
-        let start_bit = self.next % 64;
-        // At or after the pointer, within the pointer's word…
-        let high = requests[start_word] & (!0u64 << start_bit);
-        if high != 0 {
-            return Some(start_word * 64 + high.trailing_zeros() as usize);
-        }
-        // …then whole words after it…
-        for (w, &word) in requests.iter().enumerate().skip(start_word + 1) {
-            if word != 0 {
-                return Some(w * 64 + word.trailing_zeros() as usize);
-            }
-        }
-        // …then wrap: whole words before the pointer's word, and finally
-        // the bits below the pointer.
-        for (w, &word) in requests.iter().enumerate().take(start_word) {
-            if word != 0 {
-                return Some(w * 64 + word.trailing_zeros() as usize);
-            }
-        }
-        let low = requests[start_word] & !(!0u64 << start_bit);
-        if low != 0 {
-            return Some(start_word * 64 + low.trailing_zeros() as usize);
-        }
-        None
+        grant_words_at::<W>(self.next, self.n, requests)
     }
 
     /// The requestor currently at the highest priority (the rotating
@@ -125,8 +181,7 @@ impl RoundRobinArbiter {
     ///
     /// Panics if `winner` is out of range.
     pub fn update(&mut self, winner: usize) {
-        assert!(winner < self.n, "winner {winner} out of range");
-        self.next = (winner + 1) % self.n;
+        self.next = pointer_after(self.n, winner);
     }
 }
 

@@ -10,31 +10,73 @@
 //! weight transmission over the L2LC are prohibitive) but uses it as a
 //! fairness yardstick in Fig. 11; this model plays the same role.
 
+/// The WLRG hold credits of `count` sub-blocks over `slots` contender
+/// slots each, in one array (`credits[m * slots + slot]`): the credit
+/// kernel behind [`WlrgState`] and a Hi-Rise switch's sub-blocks.
+#[derive(Clone, Debug)]
+pub(crate) struct WlrgBank {
+    credits: Vec<u32>,
+    slots: usize,
+}
+
+impl WlrgBank {
+    pub(crate) fn new(count: usize, slots: usize) -> Self {
+        Self {
+            credits: vec![0; count * slots],
+            slots,
+        }
+    }
+
+    /// Records that `slot` of sub-block `m` won while representing
+    /// `weight` requestors; returns whether the LRG demotion commits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range or `weight` is zero.
+    pub(crate) fn record_win(&mut self, m: usize, slot: usize, weight: u32) -> bool {
+        assert!(slot < self.slots, "slot {slot} out of range");
+        assert!(weight >= 1, "weight must be at least 1");
+        let credit = &mut self.credits[m * self.slots + slot];
+        if *credit == 0 {
+            // Fresh win: charge the full weight.
+            *credit = weight - 1;
+        } else {
+            *credit -= 1;
+        }
+        *credit == 0
+    }
+
+    #[inline]
+    pub(crate) fn credit(&self, m: usize, slot: usize) -> u32 {
+        assert!(slot < self.slots, "slot {slot} out of range");
+        self.credits[m * self.slots + slot]
+    }
+}
+
 /// Per-sub-block WLRG credit tracker over `m` contender slots.
 #[derive(Clone, Debug)]
 pub struct WlrgState {
-    /// Remaining wins before the slot's LRG priority may be demoted.
-    credits: Vec<u32>,
+    bank: WlrgBank,
 }
 
 impl WlrgState {
     /// Creates credit state for `m` contender slots.
     pub fn new(m: usize) -> Self {
         Self {
-            credits: vec![0; m],
+            bank: WlrgBank::new(1, m),
         }
     }
 
     /// Number of contender slots.
     #[inline]
     pub fn len(&self) -> usize {
-        self.credits.len()
+        self.bank.slots
     }
 
     /// Whether zero slots are tracked.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.credits.is_empty()
+        self.bank.slots == 0
     }
 
     /// Records that `slot` won while representing `weight` requestors
@@ -45,15 +87,7 @@ impl WlrgState {
     ///
     /// Panics if `slot` is out of range or `weight` is zero.
     pub fn record_win(&mut self, slot: usize, weight: u32) -> bool {
-        assert!(slot < self.credits.len(), "slot {slot} out of range");
-        assert!(weight >= 1, "weight must be at least 1");
-        if self.credits[slot] == 0 {
-            // Fresh win: charge the full weight.
-            self.credits[slot] = weight - 1;
-        } else {
-            self.credits[slot] -= 1;
-        }
-        self.credits[slot] == 0
+        self.bank.record_win(0, slot, weight)
     }
 
     /// Remaining hold credit for `slot`.
@@ -63,7 +97,7 @@ impl WlrgState {
     /// Panics if `slot` is out of range.
     #[inline]
     pub fn credit(&self, slot: usize) -> u32 {
-        self.credits[slot]
+        self.bank.credit(0, slot)
     }
 }
 

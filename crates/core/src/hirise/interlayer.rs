@@ -7,9 +7,9 @@
 //! paper's Class-based LRG (Fig. 7's cross-point with class counters,
 //! priority-select muxes and a 13-bit LRG).
 
-use crate::arbiter::clrg::ClrgState;
-use crate::arbiter::matrix::MatrixArbiter;
-use crate::arbiter::wlrg::WlrgState;
+use crate::arbiter::clrg::ClrgBank;
+use crate::arbiter::matrix::LrgBank;
+use crate::arbiter::wlrg::WlrgBank;
 use crate::arbiter::ArbitrationScheme;
 use crate::bits::BitSet;
 use crate::ids::InputId;
@@ -26,36 +26,50 @@ pub(crate) struct Contender {
     pub weight: u32,
 }
 
-/// One inter-layer sub-block with its arbitration state.
+/// The scheme state every sub-block of a switch carries beside its
+/// slot-level LRG, one bank per switch.
 #[derive(Clone, Debug)]
-pub(crate) struct SubBlock {
-    lrg: MatrixArbiter,
-    wlrg: Option<WlrgState>,
-    clrg: Option<ClrgState>,
+enum SchemeBank {
+    LayerToLayer,
+    Weighted(WlrgBank),
+    ClassBased(ClrgBank),
+}
+
+/// The inter-layer sub-blocks of a switch, one per final output. Their
+/// slot-level LRG matrices are rows of one bank, and their WLRG credits
+/// or CLRG counters one array, all indexed by output.
+#[derive(Clone, Debug)]
+pub(crate) struct SubBlocks {
+    lrg: LrgBank,
+    scheme: SchemeBank,
     /// Cross-check every decision against the signal-level circuit
     /// model of `crate::xpoint` (debug aid; see
     /// [`HiRiseSwitch::enable_signal_validation`](crate::HiRiseSwitch::enable_signal_validation)).
     validate_signals: bool,
-    /// Candidate-slot mask, reused across cycles so the hot path stays
-    /// allocation-free.
+    /// Candidate-slot mask of the scalar path, reused across cycles so
+    /// the hot path stays allocation-free.
     mask: BitSet,
 }
 
-impl SubBlock {
-    /// Creates a sub-block with `slots` contender slots over a switch of
-    /// `radix` primary inputs, using `scheme`.
-    pub(crate) fn new(slots: usize, radix: usize, scheme: ArbitrationScheme) -> Self {
-        let (wlrg, clrg) = match scheme {
-            ArbitrationScheme::LayerToLayerLrg => (None, None),
-            ArbitrationScheme::WeightedLrg => (Some(WlrgState::new(slots)), None),
+impl SubBlocks {
+    /// Creates `outputs` sub-blocks with `slots` contender slots each
+    /// over a switch of `radix` primary inputs, using `scheme`.
+    pub(crate) fn new(
+        outputs: usize,
+        slots: usize,
+        radix: usize,
+        scheme: ArbitrationScheme,
+    ) -> Self {
+        let scheme = match scheme {
+            ArbitrationScheme::LayerToLayerLrg => SchemeBank::LayerToLayer,
+            ArbitrationScheme::WeightedLrg => SchemeBank::Weighted(WlrgBank::new(outputs, slots)),
             ArbitrationScheme::ClassBased { classes } => {
-                (None, Some(ClrgState::new(radix, classes)))
+                SchemeBank::ClassBased(ClrgBank::new(outputs, radix, classes))
             }
         };
         Self {
-            lrg: MatrixArbiter::new(slots),
-            wlrg,
-            clrg,
+            lrg: LrgBank::new(outputs, slots),
+            scheme,
             validate_signals: false,
             mask: BitSet::new(slots),
         }
@@ -66,21 +80,22 @@ impl SubBlock {
         self.validate_signals = true;
     }
 
-    /// Runs one sub-block arbitration cycle, commits the scheme's state
-    /// updates, and returns the index into `contenders` of the winner.
+    /// Runs one arbitration cycle of `output`'s sub-block, commits the
+    /// scheme's state updates, and returns the index into `contenders`
+    /// of the winner.
     ///
     /// Returns `None` for an empty contender set.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) if two contenders share a slot.
-    pub(crate) fn arbitrate(&mut self, contenders: &[Contender]) -> Option<usize> {
+    pub(crate) fn arbitrate(&mut self, output: usize, contenders: &[Contender]) -> Option<usize> {
         if contenders.is_empty() {
             return None;
         }
 
-        // Debug-only duplicate-slot check, via the reused mask instead of
-        // the old sort-a-Vec formulation (the mask is rebuilt below).
+        // Debug-only duplicate-slot check, via the reused mask (rebuilt
+        // below).
         #[cfg(debug_assertions)]
         {
             self.mask.clear();
@@ -95,19 +110,20 @@ impl SubBlock {
 
         // Build the candidate-slot mask in the reused scratch set.
         self.mask.clear();
-        if let Some(clrg) = &self.clrg {
+        if let SchemeBank::ClassBased(clrg) = &self.scheme {
             // Class-based LRG: best (lowest-count) class wins; LRG breaks
             // ties within that class. The slot-level LRG is updated every
             // cycle even when the class decided the winner (Fig. 5,
             // arbitration cycle 2: "Even though LRG is not used for this
             // arbitration cycle, it is still updated").
+            let classes = clrg.counters(output);
             let best = contenders
                 .iter()
-                .map(|c| clrg.class_of(c.input.index()))
+                .map(|c| classes[c.input.index()])
                 .min()
                 .expect("non-empty contender set");
             for contender in contenders {
-                if clrg.class_of(contender.input.index()) == best {
+                if classes[contender.input.index()] == best {
                     self.mask.insert(contender.slot);
                 }
             }
@@ -118,17 +134,21 @@ impl SubBlock {
         }
         let slot = self
             .lrg
-            .grant_mask(&self.mask)
+            .grant_mask(output, &self.mask)
             .expect("non-empty candidate set");
-        Some(self.finish(contenders, slot))
+        Some(self.finish(output, contenders, slot))
     }
 
     /// As [`arbitrate`](Self::arbitrate), but carrying the candidate-slot
     /// set as one raw `u64` word — the word-parallel kernel path. The
-    /// caller guarantees the sub-block has at most 64 slots (checked at
+    /// caller guarantees a sub-block has at most 64 slots (checked at
     /// kernel resolution; see [`crate::kernel::KernelSel`]). Decisions
     /// and state updates are bit-identical to the scalar path.
-    pub(crate) fn arbitrate_word(&mut self, contenders: &[Contender]) -> Option<usize> {
+    pub(crate) fn arbitrate_word(
+        &mut self,
+        output: usize,
+        contenders: &[Contender],
+    ) -> Option<usize> {
         if contenders.is_empty() {
             return None;
         }
@@ -150,18 +170,19 @@ impl SubBlock {
             // the mask build and the matrix scan. `finish` still applies
             // the exact same priority updates (and, under
             // `validate_signals`, the same circuit cross-check).
-            return Some(self.finish(contenders, contenders[0].slot));
+            return Some(self.finish(output, contenders, contenders[0].slot));
         }
 
         let mut mask = 0u64;
-        if let Some(clrg) = &self.clrg {
+        if let SchemeBank::ClassBased(clrg) = &self.scheme {
+            let classes = clrg.counters(output);
             let best = contenders
                 .iter()
-                .map(|c| clrg.class_of(c.input.index()))
+                .map(|c| classes[c.input.index()])
                 .min()
                 .expect("non-empty contender set");
             for contender in contenders {
-                if clrg.class_of(contender.input.index()) == best {
+                if classes[contender.input.index()] == best {
                     mask |= 1 << contender.slot;
                 }
             }
@@ -172,15 +193,15 @@ impl SubBlock {
         }
         let slot = self
             .lrg
-            .grant_words::<1>(&[mask])
+            .grant_words::<1>(output, &[mask])
             .expect("non-empty candidate set");
-        Some(self.finish(contenders, slot))
+        Some(self.finish(output, contenders, slot))
     }
 
     /// Shared tail of both arbitration paths: map the winning slot back
     /// to its contender, optionally cross-check the circuit model, and
     /// commit the scheme's state updates.
-    fn finish(&mut self, contenders: &[Contender], slot: usize) -> usize {
+    fn finish(&mut self, output: usize, contenders: &[Contender], slot: usize) -> usize {
         let winner_index = contenders.iter().position(|c| c.slot == slot).unwrap();
 
         if self.validate_signals {
@@ -188,14 +209,15 @@ impl SubBlock {
                 .iter()
                 .map(|c| crate::xpoint::ClassedContender {
                     slot: c.slot,
-                    class: self
-                        .clrg
-                        .as_ref()
-                        .map_or(0, |clrg| clrg.class_of(c.input.index())),
+                    class: self.clrg_class(output, c.input).unwrap_or(0),
                 })
                 .collect();
-            let classes = self.clrg.as_ref().map_or(1, ClrgState::classes).max(1);
-            let circuit = crate::xpoint::arbitrate_clrg_column(&classed, &self.lrg, classes);
+            let classes = match &self.scheme {
+                SchemeBank::ClassBased(clrg) => clrg.classes(),
+                _ => 1,
+            };
+            let circuit =
+                crate::xpoint::arbitrate_clrg_column(&classed, &self.lrg.matrix(output), classes);
             assert_eq!(
                 circuit,
                 Some(winner_index),
@@ -204,35 +226,55 @@ impl SubBlock {
         }
 
         let winner = contenders[winner_index];
-        match (&mut self.wlrg, &mut self.clrg) {
-            (Some(wlrg), _) => {
+        match &mut self.scheme {
+            SchemeBank::Weighted(wlrg) => {
                 // WLRG holds the winner's LRG priority until its weight
                 // credit is spent (§III-B3).
-                if wlrg.record_win(winner.slot, winner.weight) {
-                    self.lrg.update(winner.slot);
+                if wlrg.record_win(output, winner.slot, winner.weight) {
+                    self.lrg.update(output, winner.slot);
                 }
             }
-            (None, Some(clrg)) => {
-                self.lrg.update(winner.slot);
-                clrg.record_win(winner.input.index());
+            SchemeBank::ClassBased(clrg) => {
+                self.lrg.update(output, winner.slot);
+                clrg.record_win(output, winner.input.index());
             }
-            (None, None) => {
+            SchemeBank::LayerToLayer => {
                 // Baseline: "its priority is updated after every
                 // arbitration cycle" (§III-B1).
-                self.lrg.update(winner.slot);
+                self.lrg.update(output, winner.slot);
             }
         }
         winner_index
     }
 
-    /// The CLRG class of `input` at this sub-block, if running CLRG.
-    pub(crate) fn clrg_class(&self, input: InputId) -> Option<u8> {
-        self.clrg.as_ref().map(|c| c.class_of(input.index()))
+    /// The CLRG class of `input` at `output`'s sub-block, if running CLRG.
+    pub(crate) fn clrg_class(&self, output: usize, input: InputId) -> Option<u8> {
+        match &self.scheme {
+            SchemeBank::ClassBased(clrg) => Some(clrg.counters(output)[input.index()]),
+            _ => None,
+        }
     }
 
-    /// Replaces the slot-level LRG order (tests and worked examples).
-    pub(crate) fn seed_priority(&mut self, order: &[usize]) {
-        self.lrg = MatrixArbiter::with_order(order);
+    /// `output`'s slot-level LRG order, highest first.
+    #[cfg(test)]
+    pub(crate) fn priority_order(&self, output: usize) -> Vec<usize> {
+        self.lrg.priority_order(output)
+    }
+
+    /// `slot`'s WLRG hold credit at `output`'s sub-block, if running
+    /// WLRG.
+    #[cfg(test)]
+    pub(crate) fn wlrg_credit(&self, output: usize, slot: usize) -> Option<u32> {
+        match &self.scheme {
+            SchemeBank::Weighted(wlrg) => Some(wlrg.credit(output, slot)),
+            _ => None,
+        }
+    }
+
+    /// Replaces `output`'s slot-level LRG order (tests and worked
+    /// examples).
+    pub(crate) fn seed_priority(&mut self, output: usize, order: &[usize]) {
+        self.lrg.seed(output, order);
     }
 }
 
@@ -250,31 +292,31 @@ mod tests {
 
     #[test]
     fn baseline_uses_pure_slot_lrg() {
-        let mut sb = SubBlock::new(4, 64, ArbitrationScheme::LayerToLayerLrg);
+        let mut sb = SubBlocks::new(1, 4, 64, ArbitrationScheme::LayerToLayerLrg);
         // Slot 0 wins, then drops behind slot 1.
         let cs = [contender(0, 10), contender(1, 20)];
-        assert_eq!(sb.arbitrate(&cs), Some(0));
-        assert_eq!(sb.arbitrate(&cs), Some(1));
-        assert_eq!(sb.arbitrate(&cs), Some(0));
+        assert_eq!(sb.arbitrate(0, &cs), Some(0));
+        assert_eq!(sb.arbitrate(0, &cs), Some(1));
+        assert_eq!(sb.arbitrate(0, &cs), Some(0));
     }
 
     #[test]
     fn clrg_class_overrides_lrg() {
-        let mut sb = SubBlock::new(4, 64, ArbitrationScheme::class_based());
+        let mut sb = SubBlocks::new(1, 4, 64, ArbitrationScheme::class_based());
         let a = contender(0, 10);
         let b = contender(1, 20);
         // First win goes to slot 0 (LRG tie-break in class P0); input 10
         // moves to class P1, so input 20 must win next even though slot 0
         // may outrank slot 1.
-        assert_eq!(sb.arbitrate(&[a, b]), Some(0));
-        assert_eq!(sb.clrg_class(InputId::new(10)), Some(1));
-        assert_eq!(sb.arbitrate(&[a, b]), Some(1));
-        assert_eq!(sb.clrg_class(InputId::new(20)), Some(1));
+        assert_eq!(sb.arbitrate(0, &[a, b]), Some(0));
+        assert_eq!(sb.clrg_class(0, InputId::new(10)), Some(1));
+        assert_eq!(sb.arbitrate(0, &[a, b]), Some(1));
+        assert_eq!(sb.clrg_class(0, InputId::new(20)), Some(1));
     }
 
     #[test]
     fn wlrg_holds_priority_for_weighted_winners() {
-        let mut sb = SubBlock::new(2, 64, ArbitrationScheme::WeightedLrg);
+        let mut sb = SubBlocks::new(1, 2, 64, ArbitrationScheme::WeightedLrg);
         // Slot 0 carries 2 requestors; it should win twice before slot 1
         // gets a turn.
         let heavy = Contender {
@@ -283,9 +325,9 @@ mod tests {
             weight: 2,
         };
         let light = contender(1, 20);
-        assert_eq!(sb.arbitrate(&[heavy, light]), Some(0));
-        assert_eq!(sb.arbitrate(&[heavy, light]), Some(0));
-        assert_eq!(sb.arbitrate(&[heavy, light]), Some(1));
+        assert_eq!(sb.arbitrate(0, &[heavy, light]), Some(0));
+        assert_eq!(sb.arbitrate(0, &[heavy, light]), Some(0));
+        assert_eq!(sb.arbitrate(0, &[heavy, light]), Some(1));
     }
 
     #[test]
@@ -295,8 +337,8 @@ mod tests {
             ArbitrationScheme::WeightedLrg,
             ArbitrationScheme::class_based(),
         ] {
-            let mut scalar = SubBlock::new(13, 64, scheme);
-            let mut word = SubBlock::new(13, 64, scheme);
+            let mut scalar = SubBlocks::new(1, 13, 64, scheme);
+            let mut word = SubBlocks::new(1, 13, 64, scheme);
             let mut state = 0xABCD_1234u64;
             let mut next = move || {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -314,8 +356,8 @@ mod tests {
                     }
                 }
                 assert_eq!(
-                    scalar.arbitrate(&contenders),
-                    word.arbitrate_word(&contenders),
+                    scalar.arbitrate(0, &contenders),
+                    word.arbitrate_word(0, &contenders),
                     "{scheme:?} step {step}"
                 );
             }
@@ -324,18 +366,18 @@ mod tests {
 
     #[test]
     fn empty_contenders_yield_none() {
-        let mut sb = SubBlock::new(4, 64, ArbitrationScheme::class_based());
-        assert_eq!(sb.arbitrate(&[]), None);
+        let mut sb = SubBlocks::new(1, 4, 64, ArbitrationScheme::class_based());
+        assert_eq!(sb.arbitrate(0, &[]), None);
     }
 
     #[test]
     fn single_contender_always_wins() {
-        let mut sb = SubBlock::new(13, 64, ArbitrationScheme::class_based());
+        let mut sb = SubBlocks::new(1, 13, 64, ArbitrationScheme::class_based());
         for _ in 0..5 {
-            assert_eq!(sb.arbitrate(&[contender(7, 42)]), Some(0));
+            assert_eq!(sb.arbitrate(0, &[contender(7, 42)]), Some(0));
         }
         // Its class keeps degrading, halving on saturation.
-        let class = sb.clrg_class(InputId::new(42)).unwrap();
+        let class = sb.clrg_class(0, InputId::new(42)).unwrap();
         assert!(class >= 1);
     }
 }

@@ -8,91 +8,57 @@
 //! output at the inter-layer switch (the back-propagated update of
 //! §III-B1 — this is what guarantees freedom from starvation).
 
-use crate::arbiter::matrix::MatrixArbiter;
-use crate::arbiter::round_robin::RoundRobinArbiter;
+use crate::arbiter::matrix::LrgBank;
+use crate::arbiter::round_robin::RoundRobinBank;
 use crate::bits::BitSet;
 use crate::config::LocalArbiterKind;
 use crate::error::ConfigError;
 
-/// One arbitration column of the local switch.
+/// The priority state of every local-switch column, one bank per switch.
 #[derive(Clone, Debug)]
-pub(crate) enum ColumnArbiter {
-    Lrg(MatrixArbiter),
-    RoundRobin(RoundRobinArbiter),
+enum ColumnBank {
+    Lrg(LrgBank),
+    RoundRobin(RoundRobinBank),
 }
 
-impl ColumnArbiter {
-    fn new(kind: LocalArbiterKind, n: usize) -> Self {
-        match kind {
-            LocalArbiterKind::Lrg => ColumnArbiter::Lrg(MatrixArbiter::new(n)),
-            LocalArbiterKind::RoundRobin => ColumnArbiter::RoundRobin(RoundRobinArbiter::new(n)),
-        }
-    }
-
-    /// Slice-path reference implementation; the hot path uses
-    /// [`grant_mask`](Self::grant_mask).
-    #[cfg(test)]
-    pub(crate) fn grant(&self, requests: &[usize]) -> Option<usize> {
-        match self {
-            ColumnArbiter::Lrg(a) => a.grant(requests),
-            ColumnArbiter::RoundRobin(a) => a.grant(requests),
-        }
-    }
-
-    pub(crate) fn grant_mask(&self, requests: &BitSet) -> Option<usize> {
-        match self {
-            ColumnArbiter::Lrg(a) => a.grant_mask(requests),
-            ColumnArbiter::RoundRobin(a) => a.grant_mask(requests),
-        }
-    }
-
-    /// As [`grant_mask`](Self::grant_mask) over raw request words — the
-    /// word-parallel kernel path.
-    #[inline]
-    pub(crate) fn grant_words<const W: usize>(&self, requests: &[u64; W]) -> Option<usize> {
-        match self {
-            ColumnArbiter::Lrg(a) => a.grant_words::<W>(requests),
-            ColumnArbiter::RoundRobin(a) => a.grant_words::<W>(requests),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn update(&mut self, winner: usize) {
-        match self {
-            ColumnArbiter::Lrg(a) => a.update(winner),
-            ColumnArbiter::RoundRobin(a) => a.update(winner),
-        }
-    }
-}
-
-/// The local switch of one layer: `ports` intermediate columns followed
-/// by `channel_columns` L2LC columns.
+/// The local switches of every layer: per layer, `ports` intermediate
+/// columns followed by `channel_columns` L2LC columns. Columns are
+/// addressed by their flat index `layer * column_count() + column`, and
+/// their arbiters are rows of one bank, in that order.
 #[derive(Clone, Debug)]
-pub(crate) struct LocalSwitch {
-    columns: Vec<ColumnArbiter>,
+pub(crate) struct LocalSwitches {
+    bank: ColumnBank,
     ports: usize,
+    columns: usize,
     multiplicity: usize,
 }
 
-impl LocalSwitch {
+impl LocalSwitches {
     pub(crate) fn new(
         kind: LocalArbiterKind,
+        layers: usize,
         ports: usize,
         channel_columns: usize,
         multiplicity: usize,
     ) -> Self {
+        let columns = ports + channel_columns;
+        let bank = match kind {
+            LocalArbiterKind::Lrg => ColumnBank::Lrg(LrgBank::new(layers * columns, ports)),
+            LocalArbiterKind::RoundRobin => {
+                ColumnBank::RoundRobin(RoundRobinBank::new(layers * columns, ports))
+            }
+        };
         Self {
-            columns: (0..ports + channel_columns)
-                .map(|_| ColumnArbiter::new(kind, ports))
-                .collect(),
+            bank,
             ports,
+            columns,
             multiplicity,
         }
     }
 
-    /// Total number of columns (intermediate + L2LC).
+    /// Columns per layer (intermediate + L2LC).
     pub(crate) fn column_count(&self) -> usize {
-        self.columns.len()
+        self.columns
     }
 
     /// Column index of the intermediate output feeding local output
@@ -112,14 +78,20 @@ impl LocalSwitch {
     /// Slice-path reference implementation; the hot path uses
     /// [`grant_mask`](Self::grant_mask).
     #[cfg(test)]
-    pub(crate) fn grant(&self, column: usize, requests: &[usize]) -> Option<usize> {
-        self.columns[column].grant(requests)
+    pub(crate) fn grant(&self, flat: usize, requests: &[usize]) -> Option<usize> {
+        let mut mask = BitSet::new(self.ports);
+        for &r in requests {
+            mask.insert(r);
+        }
+        self.grant_mask(flat, &mask)
     }
 
-    /// As [`grant`](Self::grant), but over a pre-built request mask of
-    /// local-input bits — the allocation-free hot path.
-    pub(crate) fn grant_mask(&self, column: usize, requests: &BitSet) -> Option<usize> {
-        self.columns[column].grant_mask(requests)
+    /// Elects column `flat`'s winner among a mask of local-input bits.
+    pub(crate) fn grant_mask(&self, flat: usize, requests: &BitSet) -> Option<usize> {
+        match &self.bank {
+            ColumnBank::Lrg(bank) => bank.grant_mask(flat, requests),
+            ColumnBank::RoundRobin(bank) => bank.grant_mask(flat, requests),
+        }
     }
 
     /// As [`grant_mask`](Self::grant_mask) over raw request words
@@ -128,36 +100,46 @@ impl LocalSwitch {
     #[inline]
     pub(crate) fn grant_words<const W: usize>(
         &self,
-        column: usize,
+        flat: usize,
         requests: &[u64; W],
     ) -> Option<usize> {
-        self.columns[column].grant_words::<W>(requests)
+        match &self.bank {
+            ColumnBank::Lrg(bank) => bank.grant_words::<W>(flat, requests),
+            ColumnBank::RoundRobin(bank) => bank.grant_words::<W>(flat, requests),
+        }
     }
 
     #[inline]
-    pub(crate) fn update(&mut self, column: usize, winner: usize) {
-        self.columns[column].update(winner);
+    pub(crate) fn update(&mut self, flat: usize, winner: usize) {
+        match &mut self.bank {
+            ColumnBank::Lrg(bank) => bank.update(flat, winner),
+            ColumnBank::RoundRobin(bank) => bank.update(flat, winner),
+        }
     }
 
-    /// Replaces a column's arbiter with a seeded LRG order (tests and
-    /// worked examples).
+    /// LRG column `flat`'s priority order, highest first.
+    #[cfg(test)]
+    pub(crate) fn priority_order(&self, flat: usize) -> Vec<usize> {
+        let ColumnBank::Lrg(bank) = &self.bank else {
+            panic!("round-robin columns keep no priority matrix");
+        };
+        bank.priority_order(flat)
+    }
+
+    /// Seeds column `flat` with an LRG order (tests and worked examples).
     ///
     /// # Errors
     ///
     /// [`ConfigError::SeedingRequiresLrg`] when the local arbiter kind
     /// is not LRG — an invalid fabric x scheme combination that callers
     /// must reject before simulation starts.
-    pub(crate) fn seed_column(
-        &mut self,
-        column: usize,
-        order: &[usize],
-    ) -> Result<(), ConfigError> {
-        match &mut self.columns[column] {
-            ColumnArbiter::Lrg(a) => {
-                *a = MatrixArbiter::with_order(order);
+    pub(crate) fn seed_column(&mut self, flat: usize, order: &[usize]) -> Result<(), ConfigError> {
+        match &mut self.bank {
+            ColumnBank::Lrg(bank) => {
+                bank.seed(flat, order);
                 Ok(())
             }
-            ColumnArbiter::RoundRobin(_) => Err(ConfigError::SeedingRequiresLrg),
+            ColumnBank::RoundRobin(_) => Err(ConfigError::SeedingRequiresLrg),
         }
     }
 }
@@ -169,7 +151,7 @@ mod tests {
     #[test]
     fn column_layout_matches_paper_geometry() {
         // 64-radix 4-layer 4-channel: local switch is 16 x 28.
-        let local = LocalSwitch::new(LocalArbiterKind::Lrg, 16, 12, 4);
+        let local = LocalSwitches::new(LocalArbiterKind::Lrg, 1, 16, 12, 4);
         assert_eq!(local.column_count(), 28);
         assert_eq!(local.intermediate_column(15), 15);
         assert_eq!(local.channel_column(0, 0), 16);
@@ -178,7 +160,7 @@ mod tests {
 
     #[test]
     fn columns_arbitrate_independently() {
-        let mut local = LocalSwitch::new(LocalArbiterKind::Lrg, 4, 3, 1);
+        let mut local = LocalSwitches::new(LocalArbiterKind::Lrg, 1, 4, 3, 1);
         assert_eq!(local.grant(0, &[1, 2]), Some(1));
         local.update(0, 1);
         // Column 0's update must not affect column 1.
@@ -189,7 +171,7 @@ mod tests {
     #[test]
     fn grant_mask_matches_grant_for_both_kinds() {
         for kind in [LocalArbiterKind::Lrg, LocalArbiterKind::RoundRobin] {
-            let local = LocalSwitch::new(kind, 4, 2, 1);
+            let local = LocalSwitches::new(kind, 1, 4, 2, 1);
             let mut mask = BitSet::new(4);
             mask.insert(1);
             mask.insert(3);
@@ -206,7 +188,7 @@ mod tests {
     #[test]
     fn grant_words_matches_grant_mask_for_both_kinds() {
         for kind in [LocalArbiterKind::Lrg, LocalArbiterKind::RoundRobin] {
-            let mut local = LocalSwitch::new(kind, 16, 12, 4);
+            let mut local = LocalSwitches::new(kind, 1, 16, 12, 4);
             let mut state = 0xD00D_F00Du64;
             for _ in 0..200 {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -234,7 +216,7 @@ mod tests {
 
     #[test]
     fn round_robin_flavour_works() {
-        let mut local = LocalSwitch::new(LocalArbiterKind::RoundRobin, 4, 0, 1);
+        let mut local = LocalSwitches::new(LocalArbiterKind::RoundRobin, 1, 4, 0, 1);
         assert_eq!(local.grant(2, &[0, 3]), Some(0));
         local.update(2, 0);
         assert_eq!(local.grant(2, &[0, 3]), Some(3));
@@ -242,12 +224,12 @@ mod tests {
 
     #[test]
     fn seeding_round_robin_is_a_typed_error() {
-        let mut local = LocalSwitch::new(LocalArbiterKind::RoundRobin, 4, 0, 1);
+        let mut local = LocalSwitches::new(LocalArbiterKind::RoundRobin, 1, 4, 0, 1);
         assert_eq!(
             local.seed_column(0, &[3, 2, 1, 0]),
             Err(ConfigError::SeedingRequiresLrg)
         );
-        let mut local = LocalSwitch::new(LocalArbiterKind::Lrg, 4, 0, 1);
+        let mut local = LocalSwitches::new(LocalArbiterKind::Lrg, 1, 4, 0, 1);
         assert_eq!(local.seed_column(0, &[3, 2, 1, 0]), Ok(()));
     }
 }

@@ -33,8 +33,9 @@ use crate::fault::{Fault, FaultLog, FaultState, TsvMap};
 use crate::ids::{ChannelId, InputId, LayerId, OutputId};
 use crate::kernel::{ArbiterKernel, KernelSel};
 use channel::ChannelTable;
-use interlayer::{Contender, SubBlock};
-use local::LocalSwitch;
+use interlayer::{Contender, SubBlocks};
+use local::LocalSwitches;
+use std::cell::RefCell;
 
 /// The local resource a connection holds on its source layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,17 +117,31 @@ impl Decode {
     }
 }
 
-/// Persistent per-cycle scratch for the arbitration hot path: flat
-/// clear-and-reuse arenas replacing the `Vec<Vec<...>>` structures the
-/// original implementation allocated on every call. After a few warmup
-/// cycles every inner vector has reached its steady-state capacity and
-/// an arbitration cycle performs zero heap allocations.
+thread_local! {
+    /// The working memory of every Hi-Rise arbitration on this thread.
+    /// A switch keeps only its architectural state; the per-cycle
+    /// arenas live here, shared by all the switches a thread steps, so
+    /// a network of a thousand routers arbitrates in one cache-hot
+    /// scratch instead of a thousand cold ones.
+    static SCRATCH: RefCell<ArbScratch> = RefCell::new(ArbScratch::default());
+}
+
+/// Per-cycle scratch for the arbitration hot path: flat clear-and-reuse
+/// arenas. After a few warmup cycles every inner vector has reached its
+/// steady-state capacity and an arbitration cycle performs zero heap
+/// allocations.
 ///
-/// `Default` is allocation-free (empty vectors, zero-capacity mask), so
-/// [`std::mem::take`] can move the scratch out of the switch for the
-/// duration of a cycle without touching the allocator.
-#[derive(Clone, Debug, Default)]
+/// Every arbitration leaves the arenas as it found them (see
+/// [`reset`](Self::reset)), so the next switch on the thread can reuse
+/// them; [`fit`](Self::fit) rebuilds them for a switch of another shape,
+/// or after an arbitration unwound mid-cycle.
+#[derive(Debug, Default)]
 struct ArbScratch {
+    /// `(radix, layers, channel multiplicity)` the arenas are sized for.
+    shape: Option<(usize, usize, usize)>,
+    /// Cleared while an arbitration runs: a scratch found unclean was
+    /// left mid-cycle by a panic and may hold stale mask bits.
+    clean: bool,
     /// Per-input duplicate-request filter.
     seen: Vec<bool>,
     /// `layer * columns + column` -> statically-binned admitted requests.
@@ -168,6 +183,8 @@ impl ArbScratch {
         // scalar kernel simply never touches them (a few hundred bytes).
         let w = cfg.ports_per_layer().div_ceil(64).max(1);
         Self {
+            shape: Some((cfg.radix(), l, cfg.channel_multiplicity())),
+            clean: true,
             seen: vec![false; cfg.radix()],
             column_reqs: vec![Vec::new(); l * cols],
             pools: vec![Vec::new(); l * l],
@@ -181,6 +198,16 @@ impl ArbScratch {
             pool_masks: vec![0; l * l * w],
             dest: vec![0; cfg.radix()],
             out_bits: vec![0; cfg.radix().div_ceil(64)],
+        }
+    }
+
+    /// Makes the arenas fit `cfg`'s switch, rebuilding them only when
+    /// the last switch arbitrated on this thread had another shape (or
+    /// unwound mid-cycle).
+    fn fit(&mut self, cfg: &HiRiseConfig) {
+        let shape = (cfg.radix(), cfg.layers(), cfg.channel_multiplicity());
+        if self.shape != Some(shape) || !self.clean {
+            *self = Self::new(cfg);
         }
     }
 
@@ -220,8 +247,10 @@ impl ArbScratch {
 #[derive(Clone, Debug)]
 pub struct HiRiseSwitch {
     cfg: HiRiseConfig,
-    locals: Vec<LocalSwitch>,
-    subblocks: Vec<SubBlock>,
+    /// Every layer's local-switch columns, as rows of one bank.
+    locals: LocalSwitches,
+    /// Every output's sub-block, as rows of one bank.
+    subblocks: SubBlocks,
     channels: ChannelTable,
     connections: Vec<Option<Path>>,
     output_owner: Vec<Option<InputId>>,
@@ -236,8 +265,6 @@ pub struct HiRiseSwitch {
     channel_grants: Vec<u64>,
     /// Grants that used the local intermediate path, per layer.
     local_grants: Vec<u64>,
-    /// Per-cycle arbitration scratch, reused across calls.
-    scratch: ArbScratch,
     /// Resolved arbitration kernel (see [`ArbiterKernel`]).
     kernel: KernelSel,
     /// Index-decode tables for the word kernel's admission loop.
@@ -266,12 +293,13 @@ impl HiRiseSwitch {
         let p = cfg.ports_per_layer();
         let l = cfg.layers();
         let c = cfg.channel_multiplicity();
-        let locals = (0..l)
-            .map(|_| LocalSwitch::new(cfg.local_arbiter(), p, c * (l - 1), c))
-            .collect();
-        let subblocks = (0..cfg.radix())
-            .map(|_| SubBlock::new(cfg.subblock_inputs(), cfg.radix(), cfg.scheme()))
-            .collect();
+        let locals = LocalSwitches::new(cfg.local_arbiter(), l, p, c * (l - 1), c);
+        let subblocks = SubBlocks::new(
+            cfg.radix(),
+            cfg.subblock_inputs(),
+            cfg.radix(),
+            cfg.scheme(),
+        );
         let mut column_kinds = Vec::with_capacity(p + c * (l - 1));
         for _ in 0..p {
             column_kinds.push(ColumnKind::Intermediate);
@@ -301,7 +329,6 @@ impl HiRiseSwitch {
             column_kinds,
             channel_grants: vec![0; l * (l - 1) * c],
             local_grants: vec![0; l],
-            scratch: ArbScratch::new(cfg),
             kernel: sel,
             decode: Decode::new(cfg),
             faults: None,
@@ -362,7 +389,7 @@ impl HiRiseSwitch {
     /// Panics if either id is out of range.
     pub fn clrg_class(&self, output: OutputId, input: InputId) -> Option<u8> {
         assert!(input.index() < self.cfg.radix(), "input out of range");
-        self.subblocks[output.index()].clrg_class(input)
+        self.subblocks.clrg_class(output.index(), input)
     }
 
     /// Seeds the LRG order of the local-switch column feeding channel `k`
@@ -393,8 +420,9 @@ impl HiRiseSwitch {
         } else {
             dst.index() - 1
         };
-        let column = self.locals[src.index()].channel_column(compressed_dst, k.index());
-        self.locals[src.index()].seed_column(column, order)
+        let column = self.locals.channel_column(compressed_dst, k.index());
+        self.locals
+            .seed_column(src.index() * self.column_count() + column, order)
     }
 
     /// Seeds the LRG order of the local-switch column feeding the
@@ -414,9 +442,11 @@ impl HiRiseSwitch {
         order: &[usize],
     ) -> Result<(), ConfigError> {
         let layer = self.cfg.layer_of_output(output);
-        let column =
-            self.locals[layer.index()].intermediate_column(self.cfg.local_output_index(output));
-        self.locals[layer.index()].seed_column(column, order)
+        let column = self
+            .locals
+            .intermediate_column(self.cfg.local_output_index(output));
+        self.locals
+            .seed_column(layer.index() * self.column_count() + column, order)
     }
 
     /// Seeds the slot-level LRG order of `output`'s sub-block, highest
@@ -426,7 +456,7 @@ impl HiRiseSwitch {
     ///
     /// Panics if `output` is out of range or `order` is not a permutation.
     pub fn seed_subblock_priority(&mut self, output: OutputId, order: &[usize]) {
-        self.subblocks[output.index()].seed_priority(order);
+        self.subblocks.seed_priority(output.index(), order);
     }
 
     /// Grants that have travelled over L2LC `k` from `src` to `dst`
@@ -479,14 +509,12 @@ impl HiRiseSwitch {
     /// agree with the behavioural arbiter. A debugging and verification
     /// aid; it roughly doubles arbitration cost.
     pub fn enable_signal_validation(&mut self) {
-        for subblock in &mut self.subblocks {
-            subblock.enable_signal_validation();
-        }
+        self.subblocks.enable_signal_validation();
     }
 
     fn column_count(&self) -> usize {
         debug_assert_eq!(
-            self.locals[0].column_count(),
+            self.locals.column_count(),
             self.cfg.ports_per_layer() + self.cfg.channels_per_layer()
         );
         self.cfg.ports_per_layer() + self.cfg.channels_per_layer()
@@ -554,8 +582,9 @@ impl HiRiseSwitch {
                 output,
             };
             if src == dst {
-                let column =
-                    self.locals[src].intermediate_column(self.cfg.local_output_index(output));
+                let column = self
+                    .locals
+                    .intermediate_column(self.cfg.local_output_index(output));
                 scratch.column_reqs[src * cols + column].push(col_req);
             } else {
                 match self.cfg.bound_channel(input, output) {
@@ -569,7 +598,7 @@ impl HiRiseSwitch {
                             continue; // channel held by a transfer; retry later
                         }
                         let compressed_dst = if dst < src { dst } else { dst - 1 };
-                        let column = self.locals[src].channel_column(compressed_dst, k);
+                        let column = self.locals.channel_column(compressed_dst, k);
                         scratch.column_reqs[src * cols + column].push(col_req);
                     }
                     None => scratch.pools[src * l + dst].push(col_req),
@@ -588,8 +617,9 @@ impl HiRiseSwitch {
                 for request in list {
                     scratch.local_mask.insert(request.local_input);
                 }
-                let winner_local = self.locals[layer]
-                    .grant_mask(column, &scratch.local_mask)
+                let winner_local = self
+                    .locals
+                    .grant_mask(layer * cols + column, &scratch.local_mask)
                     .expect("non-empty request set");
                 let request = *list
                     .iter()
@@ -638,13 +668,14 @@ impl HiRiseSwitch {
                             continue; // dead L2LC: skip it, later channels absorb
                         }
                     }
-                    let column = self.locals[src].channel_column(compressed_dst, k);
+                    let column = self.locals.channel_column(compressed_dst, k);
                     scratch.local_mask.clear();
                     for request in pool.iter() {
                         scratch.local_mask.insert(request.local_input);
                     }
-                    let winner_local = self.locals[src]
-                        .grant_mask(column, &scratch.local_mask)
+                    let winner_local = self
+                        .locals
+                        .grant_mask(src * cols + column, &scratch.local_mask)
                         .expect("non-empty pool");
                     let pos = pool
                         .iter()
@@ -668,7 +699,7 @@ impl HiRiseSwitch {
     /// pipeline as [`phase1`](Self::phase1), but carrying every request
     /// set as `W` masked `u64` words of local-input bits. Binning ORs a
     /// bit into the column's mask, column election runs
-    /// [`LocalSwitch::grant_words`] directly on the words, and winner
+    /// [`LocalSwitches::grant_words`] directly on the words, and winner
     /// weight is a popcount. Columns are visited in ascending flat
     /// `(layer, column)` order — exactly the scalar loop order — so the
     /// LRG state and the winner sequence evolve bit-identically.
@@ -772,8 +803,9 @@ impl HiRiseSwitch {
                 let mask: [u64; W] = (&*mask_words).try_into().expect("exact W-word slice");
                 mask_words.fill(0);
                 let weight: u32 = mask.iter().map(|w| w.count_ones()).sum();
-                let winner_local = self.locals[layer]
-                    .grant_words::<W>(column, &mask)
+                let winner_local = self
+                    .locals
+                    .grant_words::<W>(flat, &mask)
                     .expect("non-empty request set");
                 let input = InputId::new(layer * p + winner_local);
                 let output = OutputId::new(scratch.dest[input.index()] as usize);
@@ -812,7 +844,11 @@ impl HiRiseSwitch {
         // Priority-based pools, serialized over each pair's channels in
         // the scalar path's (src, dst, k) order. The winner's bit is
         // cleared from the pool between channels; the mask is zeroed
-        // when the pair is done (unserved requestors simply lose).
+        // when the pair is done (unserved requestors simply lose). The
+        // binned policies never fill a pool, so they skip the scan.
+        if self.decode.allocation != crate::config::ChannelAllocation::PriorityBased {
+            return;
+        }
         for src in 0..l {
             for dst in 0..l {
                 if src == dst {
@@ -839,9 +875,10 @@ impl HiRiseSwitch {
                             continue; // dead L2LC: skip it, later channels absorb
                         }
                     }
-                    let column = self.locals[src].channel_column(compressed_dst, k);
-                    let winner_local = self.locals[src]
-                        .grant_words::<W>(column, &mask)
+                    let column = self.locals.channel_column(compressed_dst, k);
+                    let winner_local = self
+                        .locals
+                        .grant_words::<W>(src * cols + column, &mask)
                         .expect("non-empty pool");
                     scratch.pool_masks[base + winner_local / 64] &= !(1u64 << (winner_local % 64));
                     let input = InputId::new(src * p + winner_local);
@@ -889,7 +926,8 @@ impl HiRiseSwitch {
     /// local priority update, seize the path resources, and record the
     /// connection.
     fn commit_winner(&mut self, winner: &Phase1Winner, output: usize, grants: &mut Vec<Grant>) {
-        self.locals[winner.layer].update(winner.column, winner.request.local_input);
+        let flat = winner.layer * self.column_count() + winner.column;
+        self.locals.update(flat, winner.request.local_input);
         match winner.resource {
             PathResource::Channel { src, dst, k } => {
                 self.channels.acquire(src, dst, k, winner.request.input);
@@ -915,36 +953,25 @@ impl HiRiseSwitch {
             output: OutputId::new(output),
         });
     }
-}
 
-impl Fabric for HiRiseSwitch {
-    fn radix(&self) -> usize {
-        self.cfg.radix()
-    }
-
-    fn arbitrate(&mut self, requests: &[Request]) -> Vec<Grant> {
-        let mut grants = Vec::new();
-        self.arbitrate_into(requests, &mut grants);
-        grants
-    }
-
-    fn arbitrate_into(&mut self, requests: &[Request], grants: &mut Vec<Grant>) {
-        grants.clear();
-        if let Some(faults) = &mut self.faults {
-            faults.advance();
-        }
-        // Detach the scratch arenas so phase 1 and 2 can borrow `self`
-        // freely; reattached below.
-        let mut scratch = std::mem::take(&mut self.scratch);
+    /// One arbitration cycle in the thread's `scratch`: phase 1 elects
+    /// a winner per local column, phase 2 arbitrates each output's
+    /// sub-block among them and commits the final winners.
+    fn arbitrate_with(
+        &mut self,
+        requests: &[Request],
+        grants: &mut Vec<Grant>,
+        scratch: &mut ArbScratch,
+    ) {
         scratch.reset();
         match self.kernel {
             KernelSel::Scalar => {
                 scratch.reset_scalar_bins();
-                self.phase1(requests, &mut scratch);
+                self.phase1(requests, scratch);
             }
-            KernelSel::Word1 => self.phase1_words::<1>(requests, &mut scratch),
-            KernelSel::Word2 => self.phase1_words::<2>(requests, &mut scratch),
-            KernelSel::Word4 => self.phase1_words::<4>(requests, &mut scratch),
+            KernelSel::Word1 => self.phase1_words::<1>(requests, scratch),
+            KernelSel::Word2 => self.phase1_words::<2>(requests, scratch),
+            KernelSel::Word4 => self.phase1_words::<4>(requests, scratch),
         }
 
         // Phase 2. In the word kernel, phase 1 never emits a winner for
@@ -973,13 +1000,13 @@ impl Fabric for HiRiseSwitch {
                 let winner = scratch.winners[index];
                 let output = winner.request.output.index();
                 let contender = self.contender_of(&winner);
-                let winner_pos = self.subblocks[output]
-                    .arbitrate_word(std::slice::from_ref(&contender))
+                let winner_pos = self
+                    .subblocks
+                    .arbitrate_word(output, std::slice::from_ref(&contender))
                     .expect("non-empty contender set");
                 debug_assert_eq!(winner_pos, 0);
                 self.commit_winner(&winner, output, grants);
             }
-            self.scratch = scratch;
             return;
         }
 
@@ -1009,15 +1036,40 @@ impl Fabric for HiRiseSwitch {
                     .push(self.contender_of(&scratch.winners[index]));
             }
             let winner_pos = match self.kernel {
-                KernelSel::Scalar => self.subblocks[output].arbitrate(&scratch.contenders),
-                _ => self.subblocks[output].arbitrate_word(&scratch.contenders),
+                KernelSel::Scalar => self.subblocks.arbitrate(output, &scratch.contenders),
+                _ => self.subblocks.arbitrate_word(output, &scratch.contenders),
             }
             .expect("non-empty contender set");
             let winner = scratch.winners[scratch.per_output[output][winner_pos]];
             scratch.per_output[output].clear();
             self.commit_winner(&winner, output, grants);
         }
-        self.scratch = scratch;
+    }
+}
+
+impl Fabric for HiRiseSwitch {
+    fn radix(&self) -> usize {
+        self.cfg.radix()
+    }
+
+    fn arbitrate(&mut self, requests: &[Request]) -> Vec<Grant> {
+        let mut grants = Vec::new();
+        self.arbitrate_into(requests, &mut grants);
+        grants
+    }
+
+    fn arbitrate_into(&mut self, requests: &[Request], grants: &mut Vec<Grant>) {
+        grants.clear();
+        if let Some(faults) = &mut self.faults {
+            faults.advance();
+        }
+        SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            scratch.fit(&self.cfg);
+            scratch.clean = false;
+            self.arbitrate_with(requests, grants, &mut scratch);
+            scratch.clean = true;
+        });
     }
 
     fn release(&mut self, input: InputId) {
@@ -1086,6 +1138,177 @@ mod tests {
     use super::*;
     use crate::arbiter::ArbitrationScheme;
     use crate::config::ChannelAllocation;
+
+    /// Seeded property test of the flat layout: a switch's banks (local
+    /// columns at 4, 8 and 16 ports; sub-blocks at 7 and 13 slots under
+    /// every scheme) are driven through long random streams beside one
+    /// standalone `MatrixArbiter`, `RoundRobinArbiter`, `ClrgState` and
+    /// `WlrgState` per matrix. Winners, priority orders, classes and
+    /// credits must match at every step, so no matrix of a bank ever
+    /// reads or writes a neighbour's rows.
+    #[test]
+    fn flat_banks_match_standalone_arbiters() {
+        use crate::arbiter::clrg::ClrgState;
+        use crate::arbiter::matrix::MatrixArbiter;
+        use crate::arbiter::round_robin::RoundRobinArbiter;
+        use crate::arbiter::wlrg::WlrgState;
+        use crate::config::LocalArbiterKind;
+        use crate::rng::{Rng, RngCore, SeedableRng, StdRng};
+
+        /// A random request word over `n` bits, sparse or dense.
+        fn requests(rng: &mut StdRng, n: usize) -> u64 {
+            let all = if n == 64 { !0 } else { (1u64 << n) - 1 };
+            let word = rng.next_u64() & all;
+            if rng.gen_bool(0.5) {
+                word & rng.next_u64() & rng.next_u64()
+            } else {
+                word
+            }
+        }
+
+        for (ports, seed) in [(4usize, 1u64), (8, 2), (16, 3)] {
+            let (layers, channel_columns) = (3, 4);
+            let count = layers * (ports + channel_columns);
+            let mut rng = StdRng::seed_from_u64(0xF1A7_0000 + seed);
+            let mut lrg = LocalSwitches::new(LocalArbiterKind::Lrg, layers, ports, 4, 2);
+            let mut rr = LocalSwitches::new(LocalArbiterKind::RoundRobin, layers, ports, 4, 2);
+            let mut lrg_ref: Vec<_> = (0..count).map(|_| MatrixArbiter::new(ports)).collect();
+            let mut rr_ref: Vec<_> = (0..count).map(|_| RoundRobinArbiter::new(ports)).collect();
+            for step in 0..5_000 {
+                let flat = rng.gen_range(0..count);
+                let word = requests(&mut rng, ports);
+                let mut mask = BitSet::new(ports);
+                (0..ports)
+                    .filter(|&i| word >> i & 1 == 1)
+                    .for_each(|i| mask.insert(i));
+                let expected = lrg_ref[flat].grant_mask(&mask);
+                assert_eq!(
+                    lrg.grant_words::<1>(flat, &[word]),
+                    expected,
+                    "{ports} {step}"
+                );
+                assert_eq!(lrg.grant_mask(flat, &mask), expected, "{ports} {step}");
+                let rr_expected = rr_ref[flat].grant_mask(&mask);
+                assert_eq!(rr.grant_words::<1>(flat, &[word]), rr_expected);
+                if let Some(winner) = expected {
+                    lrg.update(flat, winner);
+                    lrg_ref[flat].update(winner);
+                }
+                if let Some(winner) = rr_expected {
+                    rr.update(flat, winner);
+                    rr_ref[flat].update(winner);
+                }
+                let probe = rng.gen_range(0..count);
+                for column in [flat, probe] {
+                    assert_eq!(
+                        lrg.priority_order(column),
+                        lrg_ref[column].priority_order(),
+                        "{ports} ports, column {column}, step {step}"
+                    );
+                }
+            }
+        }
+
+        let schemes = [
+            ArbitrationScheme::LayerToLayerLrg,
+            ArbitrationScheme::WeightedLrg,
+            ArbitrationScheme::ClassBased { classes: 2 },
+            ArbitrationScheme::class_based(),
+        ];
+        for (slots, seed) in [(7usize, 4u64), (13, 5)] {
+            for scheme in schemes {
+                let (outputs, radix) = (16, 32);
+                let mut rng = StdRng::seed_from_u64(0xF1A7_0000 + seed);
+                let mut banks = SubBlocks::new(outputs, slots, radix, scheme);
+                let mut lrg_ref: Vec<_> = (0..outputs).map(|_| MatrixArbiter::new(slots)).collect();
+                let mut clrg_ref: Vec<_> = (0..outputs)
+                    .map(|_| match scheme {
+                        ArbitrationScheme::ClassBased { classes } => {
+                            Some(ClrgState::new(radix, classes))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                let mut wlrg_ref: Vec<_> = (0..outputs)
+                    .map(|_| {
+                        (scheme == ArbitrationScheme::WeightedLrg).then(|| WlrgState::new(slots))
+                    })
+                    .collect();
+                for step in 0..5_000 {
+                    let output = rng.gen_range(0..outputs);
+                    let word = requests(&mut rng, slots);
+                    let contenders: Vec<Contender> = (0..slots)
+                        .filter(|&slot| word >> slot & 1 == 1)
+                        .map(|slot| Contender {
+                            slot,
+                            input: InputId::new(rng.gen_range(0..radix)),
+                            weight: rng.gen_range(1..5),
+                        })
+                        .collect();
+                    // The standalone arbiters: best class first under
+                    // CLRG, LRG among the rest, then the scheme's update.
+                    let best = contenders
+                        .iter()
+                        .map(|c| {
+                            clrg_ref[output]
+                                .as_ref()
+                                .map_or(0, |s| s.class_of(c.input.index()))
+                        })
+                        .min();
+                    let candidates: Vec<usize> = contenders
+                        .iter()
+                        .filter(|c| {
+                            Some(
+                                clrg_ref[output]
+                                    .as_ref()
+                                    .map_or(0, |s| s.class_of(c.input.index())),
+                            ) == best
+                        })
+                        .map(|c| c.slot)
+                        .collect();
+                    let expected = lrg_ref[output]
+                        .grant(&candidates)
+                        .map(|slot| contenders.iter().position(|c| c.slot == slot).unwrap());
+                    if let Some(index) = expected {
+                        let winner = contenders[index];
+                        let demote = match &mut wlrg_ref[output] {
+                            Some(wlrg) => wlrg.record_win(winner.slot, winner.weight),
+                            None => true,
+                        };
+                        if demote {
+                            lrg_ref[output].update(winner.slot);
+                        }
+                        if let Some(clrg) = &mut clrg_ref[output] {
+                            clrg.record_win(winner.input.index());
+                        }
+                    }
+                    let got = if step % 2 == 0 {
+                        banks.arbitrate(output, &contenders)
+                    } else {
+                        banks.arbitrate_word(output, &contenders)
+                    };
+                    assert_eq!(got, expected, "{scheme:?} {slots} slots, step {step}");
+                    let probe = rng.gen_range(0..outputs);
+                    for o in [output, probe] {
+                        let label = format!("{scheme:?} {slots} slots, output {o}, step {step}");
+                        assert_eq!(
+                            banks.priority_order(o),
+                            lrg_ref[o].priority_order(),
+                            "{label}"
+                        );
+                        for input in 0..radix {
+                            let class = clrg_ref[o].as_ref().map(|s| s.class_of(input));
+                            assert_eq!(banks.clrg_class(o, InputId::new(input)), class, "{label}");
+                        }
+                        for slot in 0..slots {
+                            let credit = wlrg_ref[o].as_ref().map(|s| s.credit(slot));
+                            assert_eq!(banks.wlrg_credit(o, slot), credit, "{label}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn req(i: usize, o: usize) -> Request {
         Request::new(InputId::new(i), OutputId::new(o))

@@ -14,7 +14,7 @@
 //! ties within a class — the same priority-select-mux structure CLRG
 //! uses with counters (Fig. 7), with static class inputs instead.
 
-use crate::arbiter::matrix::MatrixArbiter;
+use crate::arbiter::matrix::LrgBank;
 use crate::bits::BitSet;
 use crate::error::ConfigError;
 use crate::fabric::{Fabric, Grant, Request};
@@ -26,7 +26,8 @@ use crate::kernel::{ArbiterKernel, KernelSel};
 /// optional static QoS classes.
 #[derive(Clone, Debug)]
 pub struct Switch2d {
-    arbiters: Vec<MatrixArbiter>,
+    /// Every output column's LRG matrix, as rows of one bank.
+    arbiters: LrgBank,
     /// Per-input connected output.
     connections: Vec<Option<OutputId>>,
     /// Per-output owning input.
@@ -71,7 +72,7 @@ impl Switch2d {
         let kernel = KernelSel::resolve(kernel, radix);
         let words = kernel.words().unwrap_or(0);
         Self {
-            arbiters: (0..radix).map(|_| MatrixArbiter::new(radix)).collect(),
+            arbiters: LrgBank::new(radix, radix),
             connections: vec![None; radix],
             owners: vec![None; radix],
             qos: None,
@@ -137,7 +138,8 @@ impl Switch2d {
     /// Panics if `output` is out of range or `order` is not a permutation
     /// of `0..radix`.
     pub fn seed_output_priority(&mut self, output: OutputId, order: &[usize]) {
-        self.arbiters[output.index()] = MatrixArbiter::with_order(order);
+        assert!(output.index() < self.radix, "output {output} out of range");
+        self.arbiters.seed(output.index(), order);
     }
 
     /// The input currently owning `output`, if any.
@@ -169,7 +171,7 @@ impl Switch2d {
     /// and the grant record. Identical for both kernels.
     #[inline]
     fn commit(&mut self, winner: usize, output: usize, grants: &mut Vec<Grant>) {
-        self.arbiters[output].update(winner);
+        self.arbiters.update(output, winner);
         self.connections[winner] = Some(OutputId::new(output));
         self.owners[output] = Some(InputId::new(winner));
         grants.push(Grant {
@@ -219,8 +221,9 @@ impl Switch2d {
                     }
                 }
             }
-            let winner = self.arbiters[output]
-                .grant_mask(&self.mask)
+            let winner = self
+                .arbiters
+                .grant_mask(output, &self.mask)
                 .expect("non-empty request set always has an LRG winner");
             self.commit(winner, output, grants);
         }
@@ -252,8 +255,9 @@ impl Switch2d {
                 let mask_words = &mut self.out_reqs[base..base + W];
                 let mask: [u64; W] = (&*mask_words).try_into().expect("exact W-word slice");
                 mask_words.fill(0);
-                let winner = self.arbiters[output]
-                    .grant_words::<W>(&mask)
+                let winner = self
+                    .arbiters
+                    .grant_words::<W>(output, &mask)
                     .expect("non-empty request set always has an LRG winner");
                 self.commit(winner, output, grants);
             }

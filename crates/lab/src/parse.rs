@@ -18,6 +18,7 @@ use crate::spec::{CampaignSpec, FabricSpec, FaultSpec, PatternSpec, SimParams, T
 use hirise_core::{
     ArbitrationScheme, ChannelAllocation, HiRiseConfig, LocalArbiterKind, MatchPolicy,
 };
+use hirise_sim::dragonfly::{DragonflyConfig, DragonflyError};
 use std::fmt;
 
 /// Why a campaign spec could not be built from a JSON document.
@@ -72,8 +73,11 @@ pub fn campaign_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
 /// [`CampaignSpec::new`] when absent. Present fields must have the
 /// canonical schema's types, and fabric configurations, the VC count
 /// and (on a single switch) packet fit are validated: an impossible
-/// Hi-Rise geometry, 0 or more than 64 VCs, or a packet longer than a
-/// VC buffer is a [`SpecError::Invalid`], never a worker panic.
+/// Hi-Rise geometry, 0 or more than 64 VCs, a packet longer than a VC
+/// buffer, or a dragonfly no job could build (a zero dimension, fewer
+/// than two groups, too small a radix, more groups than its global
+/// channels reach, more dead wafer links than it has) is a
+/// [`SpecError::Invalid`] naming the field, never a worker panic.
 pub fn campaign_from_value(value: &Json) -> Result<CampaignSpec, SpecError> {
     let obj = expect_obj(value, "spec")?;
     let name = require_str(obj, "name", "spec")?.to_string();
@@ -152,7 +156,54 @@ pub fn campaign_from_value(value: &Json) -> Result<CampaignSpec, SpecError> {
     if let Some(v) = obj.get("shards") {
         spec.shards = as_usize(v, "shards")?.max(1);
     }
+    check_dragonfly(&spec)?;
     Ok(spec)
+}
+
+/// Rejects a dragonfly its jobs could not build: a zero dimension or
+/// fewer than two groups, a fabric whose radix cannot host the shape's
+/// ports or more groups than its global channels reach, and a fault
+/// plan that kills more wafer links than the shape has.
+fn check_dragonfly(spec: &CampaignSpec) -> Result<(), SpecError> {
+    let Topology::Dragonfly {
+        routers_per_group,
+        endpoints_per_router,
+        global_per_router,
+        groups,
+        ..
+    } = spec.topology
+    else {
+        return Ok(());
+    };
+    let shape = DragonflyConfig::try_new(
+        routers_per_group,
+        endpoints_per_router,
+        global_per_router,
+        groups,
+    )
+    .map_err(|e| match e {
+        DragonflyError::ZeroDimension { field } => invalid(format!("topology.{field}"), e),
+        _ => invalid("topology.groups", e),
+    })?;
+    for (i, fabric) in spec.fabrics.iter().enumerate() {
+        shape.check_radix(fabric.radix()).map_err(|e| match e {
+            DragonflyError::TooManyGroups { .. } => invalid("topology.groups", e),
+            _ => invalid(format!("fabrics[{i}].radix"), e),
+        })?;
+    }
+    for (i, fault) in spec.faults.iter().enumerate() {
+        if fault.dead_tsvs > shape.wafer_links() {
+            return Err(invalid(
+                format!("faults[{i}].dead_tsvs"),
+                format!(
+                    "cannot kill {} of the {} wafer links of {groups} groups",
+                    fault.dead_tsvs,
+                    shape.wafer_links()
+                ),
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn topology_from_value(value: &Json) -> Result<Topology, SpecError> {
@@ -568,6 +619,14 @@ mod tests {
         assert_eq!(spec.digest(), CampaignSpec::new("x").digest());
     }
 
+    /// A dragonfly campaign on one 2D fabric, with one fault plan
+    /// killing `dead` wafer links.
+    fn dragonfly(a: usize, p: usize, h: usize, groups: usize, radix: usize, dead: usize) -> String {
+        format!(
+            r#"{{"name":"x","topology":{{"kind":"dragonfly","routers_per_group":{a},"endpoints_per_router":{p},"global_per_router":{h},"groups":{groups}}},"fabrics":[{{"kind":"2d","radix":{radix}}}],"faults":[{{"dead_tsvs":{dead}}}]}}"#
+        )
+    }
+
     #[test]
     fn bad_specs_are_typed_errors_not_panics() {
         for (text, fragment) in [
@@ -612,6 +671,20 @@ mod tests {
                 "sim.packet_len",
             ),
             (r#"{"name":"x","sim":{"vc_depth":0}}"#, "sim.packet_len"),
+            // Dragonfly shapes no job can build.
+            (&dragonfly(2, 2, 1, 1, 8, 0), "topology.groups"),
+            (&dragonfly(0, 2, 1, 2, 8, 0), "topology.routers_per_group"),
+            (
+                &dragonfly(2, 0, 1, 2, 8, 0),
+                "topology.endpoints_per_router",
+            ),
+            (&dragonfly(2, 2, 0, 2, 8, 0), "topology.global_per_router"),
+            // p + a - 1 + h = 2 + 1 + 1 = 4 ports on radix-3 routers.
+            (&dragonfly(2, 2, 1, 2, 3, 0), "fabrics[0].radix"),
+            // a * h + 1 = 3 groups at most.
+            (&dragonfly(2, 2, 1, 4, 8, 0), "topology.groups"),
+            // 3 groups have 3 wafer links.
+            (&dragonfly(2, 2, 1, 3, 8, 4), "faults[0].dead_tsvs"),
         ] {
             let err = campaign_from_json(text).unwrap_err();
             assert!(matches!(err, SpecError::Invalid { .. }), "{text}: {err}");
@@ -620,6 +693,8 @@ mod tests {
                 "{text}: {err} should mention {fragment}"
             );
         }
+        // The largest valid shape of that family still parses.
+        assert!(campaign_from_json(&dragonfly(2, 2, 1, 3, 4, 3)).is_ok());
         // The network engine does not read the VC depth, so a mesh may
         // carry packets longer than it.
         let mesh = r#"{"name":"x","topology":{"kind":"mesh","cols":2,"rows":2,"ports_per_direction":1},"sim":{"packet_len":8,"vc_depth":4}}"#;

@@ -1157,8 +1157,12 @@ impl CampaignSpec {
                     || job.pattern.build(cores),
                 );
                 let report = sim.run();
-                let fault_events = sim.fault_event_count();
-                Self::routed_result(job, &report, fault_events)
+                Self::routed_result(
+                    job,
+                    &report,
+                    sim.fault_event_count(),
+                    sim.invariant_violation_count(),
+                )
             }
             Topology::Dragonfly {
                 routers_per_group,
@@ -1210,8 +1214,12 @@ impl CampaignSpec {
                     || job.pattern.build(endpoints),
                 );
                 let report = sim.run();
-                let fault_events = sim.fault_event_count();
-                Self::routed_result(job, &report, fault_events)
+                Self::routed_result(
+                    job,
+                    &report,
+                    sim.fault_event_count(),
+                    sim.invariant_violation_count(),
+                )
             }
         }
     }
@@ -1227,9 +1235,15 @@ impl CampaignSpec {
     }
 
     /// Assembles a routed-topology job result from the merged shard
-    /// report. The mesh and dragonfly arms share this, so the two
-    /// paths cannot disagree on what a record contains.
-    fn routed_result(job: &Job, report: &MeshReport, fault_events: u64) -> JobResult {
+    /// report, the fault events and the violations the engine recorded.
+    /// The mesh and dragonfly arms share this, so the two paths cannot
+    /// disagree on what a record contains.
+    fn routed_result(
+        job: &Job,
+        report: &MeshReport,
+        fault_events: u64,
+        violations: u64,
+    ) -> JobResult {
         JobResult {
             index: job.index,
             fabric: job.fabric.label(),
@@ -1250,7 +1264,7 @@ impl CampaignSpec {
                 stable: report.is_stable(),
                 avg_hops: Some(report.avg_hops()),
             },
-            violations: 0,
+            violations,
             violation_messages: Vec::new(),
             fault_events,
             per_input_accepted: None,
@@ -1283,6 +1297,27 @@ mod tests {
             .pattern(PatternSpec::Transpose)
             .loads([0.05, 0.2])
             .replicates(2)
+    }
+
+    #[test]
+    fn routed_records_carry_the_engine_violation_count() {
+        let job = two_fabric_spec().jobs().remove(0);
+        let cfg = MeshSimConfig::new(2, 1, 1).warmup(0).measure(20).drain(20);
+        let mut sim = sharded_mesh(
+            &cfg,
+            8,
+            1,
+            |_| hirise_core::Switch2d::new(8),
+            || Box::new(UniformRandom::new(8)) as Box<dyn TrafficPattern>,
+        );
+        let report = sim.run();
+        assert_eq!(sim.invariant_violation_count(), 0);
+        assert_eq!(
+            CampaignSpec::routed_result(&job, &report, 0, 0).violations,
+            0
+        );
+        let record = CampaignSpec::routed_result(&job, &report, 0, 3);
+        assert_eq!(record.violations, 3, "the count reaches the record");
     }
 
     #[test]

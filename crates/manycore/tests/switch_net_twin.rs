@@ -3,8 +3,8 @@
 //!
 //! [`RefNet`] is that earlier interface kept as a golden model: payloads
 //! in a `HashMap` keyed by packet id, one `Option` transfer slot per
-//! input, every port filled and scanned every cycle, and the allocating
-//! `Fabric::arbitrate`. Both nets see the same sends on the same
+//! input, ports that own their VC packets ([`RefPort`]), every port
+//! filled and scanned every cycle, and the allocating `Fabric::arbitrate`. Both nets see the same sends on the same
 //! fabrics (with and without faults), and every cycle's arrivals,
 //! delivery counts and latency sums must agree exactly.
 
@@ -14,15 +14,77 @@ use hirise_core::{
     OutputId, PacketHandle, Request, Switch2d,
 };
 use hirise_manycore::{Message, SwitchNet};
-use hirise_sim::{InputPort, Packet};
+use hirise_sim::Packet;
 use std::collections::{HashMap, VecDeque};
 
 const RADIX: usize = 64;
 
+/// The earlier input port, kept as the reference model: a source queue
+/// and a heap `Vec` of VC slots per port, a rotating VC pointer, and a
+/// tentative candidate confirmed on grant.
+struct RefPort {
+    source_queue: VecDeque<Packet>,
+    vcs: Vec<Option<Packet>>,
+    active_vc: Option<usize>,
+    next_vc: usize,
+}
+
+impl RefPort {
+    fn new(vcs: usize) -> Self {
+        Self {
+            source_queue: VecDeque::new(),
+            vcs: vec![None; vcs],
+            active_vc: None,
+            next_vc: 0,
+        }
+    }
+
+    fn inject(&mut self, packet: Packet) {
+        self.source_queue.push_back(packet);
+    }
+
+    /// Moves at most one queued packet into the lowest free VC.
+    fn fill_vcs(&mut self) {
+        if let Some(vc) = self.vcs.iter().position(Option::is_none) {
+            if let Some(packet) = self.source_queue.pop_front() {
+                self.vcs[vc] = Some(packet);
+            }
+        }
+    }
+
+    /// The first occupied VC at or after the rotating pointer, unless
+    /// the port is mid-transfer.
+    fn select_candidate(&mut self) -> Option<&Packet> {
+        if self.active_vc.is_some() {
+            return None;
+        }
+        let n = self.vcs.len();
+        let vc = (0..n)
+            .map(|d| (self.next_vc + d) % n)
+            .find(|&vc| self.vcs[vc].is_some())?;
+        self.next_vc = (vc + 1) % n;
+        self.active_vc = Some(vc);
+        self.vcs[vc].as_ref()
+    }
+
+    fn confirm_grant(&mut self) {
+        assert!(self.active_vc.is_some(), "no candidate to confirm");
+    }
+
+    fn revoke_candidate(&mut self) {
+        self.active_vc = None;
+    }
+
+    fn complete_transfer(&mut self) -> Packet {
+        let vc = self.active_vc.take().expect("no active transfer");
+        self.vcs[vc].take().expect("active VC holds a packet")
+    }
+}
+
 /// The earlier network interface, kept as the reference model.
 struct RefNet<F> {
     fabric: F,
-    ports: Vec<InputPort>,
+    ports: Vec<RefPort>,
     /// Packet and flit beats remaining, per input.
     transfers: Vec<Option<(Packet, usize)>>,
     /// Message payload and birth cycle, keyed by packet id.
@@ -39,7 +101,7 @@ impl<F: Fabric> RefNet<F> {
         let radix = fabric.radix();
         Self {
             fabric,
-            ports: (0..radix).map(|_| InputPort::new(4)).collect(),
+            ports: (0..radix).map(|_| RefPort::new(4)).collect(),
             transfers: vec![None; radix],
             payloads: HashMap::new(),
             arrivals: VecDeque::new(),

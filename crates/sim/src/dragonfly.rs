@@ -68,31 +68,84 @@ impl DragonflyConfig {
     /// # Panics
     ///
     /// Panics if any dimension is zero or there are fewer than two
-    /// groups (shape errors that depend on the radix are reported by
-    /// [`DragonflyGeometry::new`] instead).
+    /// groups (see [`try_new`](Self::try_new); shape errors that depend
+    /// on the radix are reported by [`DragonflyGeometry::new`]).
     pub fn new(
         routers_per_group: usize,
         endpoints_per_router: usize,
         global_per_router: usize,
         groups: usize,
     ) -> Self {
-        assert!(routers_per_group >= 1, "need at least one router per group");
-        assert!(
-            endpoints_per_router >= 1,
-            "need at least one endpoint per router"
-        );
-        assert!(
-            global_per_router >= 1,
-            "need at least one global link per router"
-        );
-        assert!(groups >= 2, "a dragonfly needs at least two groups");
-        Self {
+        Self::try_new(
+            routers_per_group,
+            endpoints_per_router,
+            global_per_router,
+            groups,
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// As [`new`](Self::new), reporting a zero dimension or fewer than
+    /// two groups as an error instead of panicking.
+    ///
+    /// # Errors
+    ///
+    /// [`DragonflyError::ZeroDimension`] or
+    /// [`DragonflyError::TooFewGroups`].
+    pub fn try_new(
+        routers_per_group: usize,
+        endpoints_per_router: usize,
+        global_per_router: usize,
+        groups: usize,
+    ) -> Result<Self, DragonflyError> {
+        for (field, value) in [
+            ("routers_per_group", routers_per_group),
+            ("endpoints_per_router", endpoints_per_router),
+            ("global_per_router", global_per_router),
+        ] {
+            if value == 0 {
+                return Err(DragonflyError::ZeroDimension { field });
+            }
+        }
+        if groups < 2 {
+            return Err(DragonflyError::TooFewGroups { groups });
+        }
+        Ok(Self {
             routers_per_group,
             endpoints_per_router,
             global_per_router,
             groups,
             map: GlobalLinkMap::default(),
+        })
+    }
+
+    /// Checks that routers of `radix` ports can build this shape: they
+    /// host its endpoint, local and global ports, and its global
+    /// channels reach every group.
+    ///
+    /// # Errors
+    ///
+    /// [`DragonflyError::RadixTooSmall`] or
+    /// [`DragonflyError::TooManyGroups`].
+    pub fn check_radix(&self, radix: usize) -> Result<(), DragonflyError> {
+        let needed = self.ports_needed();
+        if radix < needed {
+            return Err(DragonflyError::RadixTooSmall { radix, needed });
         }
+        let max = self.routers_per_group * self.global_per_router + 1;
+        if self.groups > max {
+            return Err(DragonflyError::TooManyGroups {
+                groups: self.groups,
+                max,
+            });
+        }
+        Ok(())
+    }
+
+    /// Distinct wafer links, one per group pair: `g(g-1)/2`, the most
+    /// [`sample_dead_links`] can kill.
+    pub fn wafer_links(&self) -> usize {
+        self.groups * (self.groups - 1) / 2
     }
 
     /// Selects the global-link arrangement.
@@ -130,6 +183,17 @@ impl DragonflyConfig {
 /// Why a [`DragonflyGeometry`] could not be built.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DragonflyError {
+    /// A shape dimension is zero.
+    ZeroDimension {
+        /// The dimension: `routers_per_group`, `endpoints_per_router`
+        /// or `global_per_router`.
+        field: &'static str,
+    },
+    /// Fewer than two groups.
+    TooFewGroups {
+        /// Configured group count.
+        groups: usize,
+    },
     /// The switch radix cannot host endpoint + local + global ports.
     RadixTooSmall {
         /// The offered radix.
@@ -163,6 +227,10 @@ pub enum DragonflyError {
 impl std::fmt::Display for DragonflyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            DragonflyError::ZeroDimension { field } => write!(f, "{field} must be at least 1"),
+            DragonflyError::TooFewGroups { groups } => {
+                write!(f, "a dragonfly needs at least two groups, got {groups}")
+            }
             DragonflyError::RadixTooSmall { radix, needed } => {
                 write!(
                     f,
@@ -225,17 +293,7 @@ impl DragonflyGeometry {
         radix: usize,
         dead_links: &[(usize, usize)],
     ) -> Result<Self, DragonflyError> {
-        let needed = cfg.ports_needed();
-        if radix < needed {
-            return Err(DragonflyError::RadixTooSmall { radix, needed });
-        }
-        let max_groups = cfg.routers_per_group * cfg.global_per_router + 1;
-        if cfg.groups > max_groups {
-            return Err(DragonflyError::TooManyGroups {
-                groups: cfg.groups,
-                max: max_groups,
-            });
-        }
+        cfg.check_radix(radix)?;
         let g = cfg.groups;
         let mut dead = HashSet::new();
         for &link in dead_links {

@@ -15,7 +15,10 @@
 //!    shard order) and publishes the occupancy of its boundary input
 //!    ports that changed (untouched ports' snapshots are still valid).
 //! 2. **Injection** — each shard polls its own endpoints' traffic
-//!    streams. *Barrier.*
+//!    streams. *Barrier* — on credited topologies only: it orders the
+//!    snapshots of phase 1 before phase 3's credit checks, and
+//!    uncredited ones (the dragonfly) read no other shard's state in
+//!    phase 3, so their cycle has two barriers.
 //! 3. **Arbitration** — each shard buffers, selects, credit-checks
 //!    (remote occupancy comes from the published snapshots), arbitrates
 //!    and launches for its own nodes, then publishes its injected /
@@ -666,6 +669,7 @@ fn worker<F: Fabric, T: ShardTopology>(
     let mut advanced = 0u64;
     let mut drained = 0u64;
     let node_lo = st.node_lo;
+    let credit = topo.credit_links();
     loop {
         if advanced >= fixed {
             let Some(cap) = drain_cap else { break };
@@ -749,7 +753,13 @@ fn worker<F: Fabric, T: ShardTopology>(
         }
         st.engine.touched.clear();
         phase_inject(st, topo, cfg, in_window, now);
-        barrier.wait();
+        // This barrier only orders the snapshot publishes above before
+        // other shards' credit checks read them. Without credit links
+        // nothing in phase 3 reads another shard's state, so a shard may
+        // start arbitrating while its neighbours still inject.
+        if credit {
+            barrier.wait();
+        }
 
         {
             let ShardState {

@@ -1,6 +1,8 @@
 //! The switch cycle: input ports, in-flight transfers and the
 //! arbitration step of one switch, kept in bitmaps and reused scratch so
 //! a steady-state cycle touches only busy inputs and never allocates.
+//! Each port is a one-cache-line [`InputPort`] header, and the packets
+//! of every port's VCs share one `radix × vcs` slot array.
 //! It is the only per-switch cycle in the crate:
 //! [`NetworkSim`](crate::NetworkSim) drives one with synthetic traffic,
 //! the many-core simulator's `SwitchNet` one with tile-to-tile messages,
@@ -14,17 +16,19 @@
 //! candidate as it is collected.
 
 use crate::packet::Packet;
-use crate::port::InputPort;
+use crate::port::{InputPort, Transfer};
 use hirise_core::{Fabric, Grant, InputId, OutputId, Request};
 
 /// Input ports and transfer state of one switch.
 #[derive(Debug)]
 pub struct SwitchCycle {
-    /// The input ports, indexed by input.
+    /// The input port headers, indexed by input.
     pub(crate) ports: Vec<InputPort>,
-    /// The transfer of each input, written when it requests and read
-    /// only once it wins.
-    transfers: Vec<Transfer>,
+    /// The VC packet slots of every port: input `i`'s VC `v` is
+    /// `slots[i * vcs + v]`.
+    slots: Vec<Option<Packet>>,
+    /// Virtual channels per port.
+    vcs: usize,
     /// Bitmap over inputs: a transfer (or its release beat) is in flight.
     active_transfers: Vec<u64>,
     /// Bitmap over inputs: the port holds a packet (source queue or VC),
@@ -38,19 +42,6 @@ pub struct SwitchCycle {
     granted: Vec<u64>,
 }
 
-/// An input's transfer through the switch.
-#[derive(Clone, Copy, Debug, Default)]
-struct Transfer {
-    /// Flit beats remaining. The packet stays in its port's active VC
-    /// until the count reaches zero; the connection releases on the
-    /// *next* cycle (the output bus doubles as the arbitration priority
-    /// bus, so the release beat and a new arbitration cannot share a
-    /// cycle).
-    flits: u32,
-    /// The output requested.
-    output: u32,
-}
-
 impl SwitchCycle {
     /// Creates the state of a `radix`-port switch with `vcs` virtual
     /// channels per input port.
@@ -62,7 +53,8 @@ impl SwitchCycle {
         let words = radix.div_ceil(64);
         Self {
             ports: (0..radix).map(|_| InputPort::new(vcs)).collect(),
-            transfers: vec![Transfer::default(); radix],
+            slots: vec![None; radix * vcs],
+            vcs,
             active_transfers: vec![0; words],
             port_occupied: vec![0; words],
             requests: Vec::with_capacity(radix),
@@ -112,17 +104,18 @@ impl SwitchCycle {
                 let bit = word.trailing_zeros() as usize;
                 word &= word - 1;
                 let input = word_idx * 64 + bit;
-                let transfer = &mut self.transfers[input];
-                if transfer.flits > 0 {
-                    transfer.flits -= 1;
-                    if transfer.flits == 0 {
-                        let port = &mut self.ports[input];
+                let port = &mut self.ports[input];
+                if port.transfer.flits > 0 {
+                    port.transfer.flits -= 1;
+                    if port.transfer.flits == 0 {
                         let vc = port.active_vc().expect("completing port has an active VC");
-                        let packet = port.complete_transfer();
+                        let slots = &mut self.slots[input * self.vcs..(input + 1) * self.vcs];
+                        let packet = port.complete_transfer(slots);
                         if port.is_idle() {
                             self.port_occupied[word_idx] &= !(1u64 << bit);
                         }
-                        deliver(input, vc, OutputId::new(transfer.output as usize), packet);
+                        let output = OutputId::new(port.transfer.output as usize);
+                        deliver(input, vc, output, packet);
                     }
                 } else {
                     // Release beat: the output bus becomes available for
@@ -165,16 +158,18 @@ impl SwitchCycle {
                 word &= word - 1;
                 let input = word_idx * 64 + bit;
                 let port = &mut self.ports[input];
-                port.fill_vcs();
+                let slots = &mut self.slots[input * self.vcs..(input + 1) * self.vcs];
+                port.fill_vcs(slots);
                 if self.active_transfers[word_idx] >> bit & 1 == 1 {
                     continue;
                 }
-                let Some(packet) = port.select_candidate() else {
+                let Some(vc) = port.select_vc() else {
                     continue;
                 };
+                let packet = slots[vc].as_ref().expect("occupied VC holds a packet");
                 match route(input, packet) {
                     Some(output) => {
-                        self.transfers[input] = Transfer {
+                        port.transfer = Transfer {
                             flits: packet.len_flits as u32,
                             output: output.index() as u32,
                         };

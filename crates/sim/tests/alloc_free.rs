@@ -6,7 +6,9 @@
 //! across 1 000 further cycles of uniform-random traffic.
 //!
 //! The counter is thread-local, so parallel test threads cannot pollute
-//! it, and each test serializes its own warmup/measure windows.
+//! it, and each test serializes its own warmup/measure windows. It also
+//! counts frees, so a test can read how many heap blocks a freshly built
+//! switch holds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,18 +17,21 @@ use hirise_core::{
     ArbitrationScheme, Fabric, Fault, FaultSite, FoldedSwitch, HiRiseConfig, HiRiseSwitch,
     MatchingSwitch, Switch2d,
 };
+use hirise_sim::dragonfly::{DragonflyConfig, DragonflyGeometry, GlobalLinkMap};
 use hirise_sim::mesh_sim::MeshSimConfig;
-use hirise_sim::shard::sharded_mesh;
+use hirise_sim::shard::{sharded_mesh, ShardedConfig, ShardedSim};
 use hirise_sim::traffic::{TrafficPattern, UniformRandom};
 use hirise_sim::{NetworkSim, SimConfig};
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static DEALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Forwards to the system allocator, bumping a thread-local counter for
-/// every allocation (and reallocation) made while counting is enabled.
+/// every allocation (and reallocation), and another for every free, made
+/// while counting is enabled.
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -52,6 +57,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if COUNTING.get() {
+            DEALLOCATIONS.set(DEALLOCATIONS.get() + 1);
+        }
         System.dealloc(ptr, layout)
     }
 }
@@ -216,4 +224,66 @@ fn steady_state_sharded_cycles_allocate_nothing() {
         count, 0,
         "sharded mesh: {count} heap allocations across {COUNTED_CYCLES} steady-state cycles"
     );
+}
+
+/// The dragonfly's routers step the same switch cycle as the mesh's, on
+/// uncredited links and a two-barrier cycle: a one-shard dragonfly at
+/// low load must also reach an allocation-free steady state. The load
+/// sits far below saturation, so the open-loop source queues and the
+/// packet arena plateau during warmup (the seed is fixed, so the count
+/// is deterministic).
+#[test]
+fn steady_state_dragonfly_cycles_allocate_nothing() {
+    // 9 groups of 4 radix-16 routers: 4 endpoints, 3 local and 2
+    // global ports each.
+    let shape = DragonflyConfig::new(4, 4, 2, 9).map(GlobalLinkMap::Palmtree);
+    let geo = DragonflyGeometry::new(shape, 16, &[]).expect("buildable dragonfly");
+    let endpoints = 9 * 4 * 4;
+    let cfg = ShardedConfig::new()
+        .injection_rate(0.02)
+        .warmup(u64::MAX / 2)
+        .seed(0xA110_C8ED);
+    let switch_cfg = net_switch_cfg();
+    let mut sim = ShardedSim::new(
+        geo,
+        cfg,
+        1,
+        |_node| HiRiseSwitch::new(&switch_cfg),
+        || Box::new(UniformRandom::new(endpoints)) as Box<dyn TrafficPattern>,
+    );
+    sim.run_cycles(WARMUP_CYCLES);
+
+    ALLOCATIONS.set(0);
+    COUNTING.set(true);
+    sim.run_cycles(COUNTED_CYCLES);
+    COUNTING.set(false);
+    let count = ALLOCATIONS.get();
+    assert_eq!(
+        count, 0,
+        "dragonfly: {count} heap allocations across {COUNTED_CYCLES} steady-state cycles"
+    );
+    assert_eq!(sim.invariant_violation_count(), 0);
+}
+
+/// A switch keeps each bank of arbiters in one array, so a freshly
+/// built Hi-Rise 32x4 c2 router (the wafer dragonfly's) holds a few
+/// dozen heap blocks rather than one per arbiter: it has 56 local
+/// columns and 32 sub-blocks with a CLRG counter set each.
+#[test]
+fn a_fresh_hirise_switch_holds_few_heap_blocks() {
+    let cfg = HiRiseConfig::builder(32, 4)
+        .channel_multiplicity(2)
+        .build()
+        .expect("valid Hi-Rise configuration");
+    ALLOCATIONS.set(0);
+    DEALLOCATIONS.set(0);
+    COUNTING.set(true);
+    let switch = HiRiseSwitch::new(&cfg);
+    COUNTING.set(false);
+    let live = ALLOCATIONS.get() - DEALLOCATIONS.get();
+    assert!(
+        live <= 40,
+        "a fresh 32x4 c2 switch holds {live} heap blocks"
+    );
+    drop(switch);
 }
