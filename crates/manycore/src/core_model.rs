@@ -90,6 +90,50 @@ impl Core {
         None
     }
 
+    /// Ticks from now on that would each only retire `width`
+    /// instructions or count a stalled cycle: those before the next
+    /// miss or the finish, and `u64::MAX` (never an event) while a miss
+    /// waits on a full MLP budget or once the core has finished.
+    pub(crate) fn quiet_ticks(&self) -> u64 {
+        if self.finished_at.is_some() {
+            return u64::MAX;
+        }
+        if self.pending.is_some() {
+            return if self.outstanding < self.mlp {
+                0
+            } else {
+                u64::MAX
+            };
+        }
+        // A tick is quiet while the burst lasts past its whole width and
+        // the target is still beyond it.
+        let to_miss = self.gap / self.width;
+        let to_finish = (self.target - self.retired).div_ceil(self.width) - 1;
+        to_miss.min(to_finish)
+    }
+
+    /// Applies `ticks` quiet ticks (at most what
+    /// [`quiet_ticks`](Self::quiet_ticks) allowed when they began) in
+    /// closed form: a stalled core counts them as stalled cycles, any
+    /// other retires `width` instructions in each.
+    pub(crate) fn skip_quiet_ticks(&mut self, ticks: u64) {
+        if self.finished_at.is_some() {
+            return;
+        }
+        if self.pending.is_some() {
+            self.stalled_cycles += ticks;
+        } else {
+            self.retired += ticks * self.width;
+            self.gap -= ticks * self.width;
+        }
+    }
+
+    /// Whether a miss waits on the MLP budget: the core can issue it as
+    /// soon as one outstanding miss completes.
+    pub(crate) fn waits_on_budget(&self) -> bool {
+        self.pending.is_some()
+    }
+
     /// Delivers a data reply: one outstanding miss completes.
     ///
     /// # Panics

@@ -28,6 +28,16 @@
 //! * The switch runs in its own clock domain (the design's frequency
 //!   from `hirise-phys`); the simulation advances both domains on a
 //!   picosecond timeline.
+//! * The simulation is event-driven in the core domain: each core cycle
+//!   visits only the cores with an eventful tick due (a miss or the
+//!   finish), the L2 banks with an access in service or queued, and the
+//!   memory controllers with fills in flight. A core's cycles between
+//!   events only retire instructions or count stalls, so they are
+//!   applied in closed form when it next runs; a core stalled on its
+//!   MLP budget waits for a reply to wake it. The switch pays per event
+//!   too: a transfer is a last beat and a release beat on its
+//!   `SwitchCycle`'s transfer wheel. Reports are bit-identical to
+//!   stepping everything every cycle.
 //!
 //! # Example
 //!

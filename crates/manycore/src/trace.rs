@@ -26,6 +26,11 @@ pub struct SyntheticTrace {
     profile: BenchmarkProfile,
     banks: usize,
     rng: StdRng,
+    /// `ln(1 - p)` for the per-instruction L1 miss probability `p`, or
+    /// `None` for a benchmark that never misses.
+    ln_no_miss: Option<f64>,
+    /// The profile's L2 miss fraction.
+    l2_miss_fraction: f64,
 }
 
 impl SyntheticTrace {
@@ -36,10 +41,13 @@ impl SyntheticTrace {
     /// Panics if `banks` is zero.
     pub fn new(profile: BenchmarkProfile, banks: usize, seed: u64) -> Self {
         assert!(banks > 0, "need at least one L2 bank");
+        let l1 = profile.l1_mpki();
         Self {
             profile,
             banks,
             rng: StdRng::seed_from_u64(seed),
+            ln_no_miss: (l1 > 1e-6).then(|| (1.0 - (l1 / 1000.0).min(1.0)).ln()),
+            l2_miss_fraction: profile.l2_miss_fraction(),
         }
     }
 
@@ -52,21 +60,19 @@ impl SyntheticTrace {
     /// `1000 / l1_mpki`; effectively infinite for benchmarks that
     /// never miss).
     pub fn next_gap(&mut self) -> u64 {
-        let l1 = self.profile.l1_mpki();
-        if l1 <= 1e-6 {
+        let Some(ln_no_miss) = self.ln_no_miss else {
             return u64::MAX / 2; // compute-bound: next miss beyond any run
-        }
-        let p = (l1 / 1000.0).min(1.0);
+        };
         // Geometric sampling via inverse transform.
         let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        (u.ln() / (1.0 - p).ln()).ceil().max(1.0) as u64
+        (u.ln() / ln_no_miss).ceil().max(1.0) as u64
     }
 
     /// The next miss's target bank and L2 outcome.
     pub fn next_access(&mut self) -> MemAccess {
         MemAccess {
             bank: self.rng.gen_range(0..self.banks),
-            l2_miss: self.rng.gen_bool(self.profile.l2_miss_fraction()),
+            l2_miss: self.rng.gen_bool(self.l2_miss_fraction),
         }
     }
 }

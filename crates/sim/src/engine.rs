@@ -3,8 +3,8 @@
 //! [`ShardedSim`](crate::shard::ShardedSim) steps a topology of switches
 //! through a three-phase cycle (transfers, injection, arbitration); this
 //! module holds each shard's per-node state and the two heavy phases.
-//! Every router is one [`SwitchCycle`] — the same port scan, flit
-//! countdown, release beat, fill/select and grant commit that the
+//! Every router is one [`SwitchCycle`] — the same port scan, transfer
+//! wheel, release beat, fill/select and grant commit that the
 //! single-switch simulator runs — and the engine adds only what a
 //! network needs around it: routing, credit checks, packet hop counts
 //! and the scheduling of which routers to visit.
@@ -21,8 +21,12 @@
 //!   any packet in a source queue or VC) and a `moving` set (nodes with
 //!   a transfer in flight). The transfer phase walks only `moving`, the
 //!   arbitration phase only `work`, and each switch cycle walks its
-//!   occupancy bitmaps, so an idle router costs *zero* work per cycle
-//!   instead of a radix-wide scan plus an empty arbitration.
+//!   occupancy bitmaps and its wheel's bitmap for the cycle, so an idle
+//!   router costs *zero* work per cycle instead of a radix-wide scan
+//!   plus an empty arbitration. A switch cycle counts its own cycles in
+//!   its transfer phase, and its wheel is empty whenever the router
+//!   leaves `moving`, so the cycles a router is not visited shift no
+//!   transfer.
 //!
 //! Skipping an idle router is only sound because an idle arbitration
 //! cycle is unobservable for it: `arbitrate` with no requests and no

@@ -8,8 +8,8 @@
 //! switch each cycle (giving blocked packets head-of-line relief).
 //!
 //! An [`InputPort`] is the port's header: its source queue, VC
-//! occupancy mask, selected VC, rotation pointer and transfer countdown,
-//! in one 64-byte cache line. The packets its VCs hold live in the
+//! occupancy mask, selected VC, rotation pointer and the length and
+//! output of its transfer, in one 64-byte cache line. The packets its VCs hold live in the
 //! owning [`SwitchCycle`](crate::SwitchCycle)'s slot array, `vcs` slots
 //! per port, and the methods that move packets take the port's slots.
 
@@ -22,12 +22,12 @@ const NO_VC: u8 = u8::MAX;
 /// An input's transfer through the switch.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Transfer {
-    /// Flit beats remaining. The packet stays in its port's active VC
-    /// until the count reaches zero; the connection releases on the
-    /// *next* cycle (the output bus doubles as the arbitration priority
-    /// bus, so the release beat and a new arbitration cannot share a
-    /// cycle).
-    pub(crate) flits: u32,
+    /// Flit beats of the packet. The packet stays in its port's active
+    /// VC until its last beat lands, `len` cycles after the grant; the
+    /// connection releases on the *next* cycle (the output bus doubles
+    /// as the arbitration priority bus, so the release beat and a new
+    /// arbitration cannot share a cycle).
+    pub(crate) len: u32,
     /// The output requested.
     pub(crate) output: u32,
 }
