@@ -73,11 +73,16 @@ pub fn campaign_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
 /// [`CampaignSpec::new`] when absent. Present fields must have the
 /// canonical schema's types, and fabric configurations, the VC count
 /// and (on a single switch) packet fit are validated: an impossible
-/// Hi-Rise geometry, 0 or more than 64 VCs, a packet longer than a VC
-/// buffer, or a dragonfly no job could build (a zero dimension, fewer
-/// than two groups, too small a radix, more groups than its global
-/// channels reach, more dead wafer links than it has) is a
-/// [`SpecError::Invalid`] naming the field, never a worker panic.
+/// Hi-Rise geometry, a 2D, folded or matching fabric of radix 0, a
+/// folded fabric whose radix does not divide over at least 2 layers, 0
+/// or more than 64 VCs, a zero-flit packet, a packet longer than a VC
+/// buffer, a window of 0, a CLRG scheme of 0 classes, a dragonfly no
+/// job could build (a zero dimension, fewer than two groups, too small
+/// a radix, more groups than its global channels reach, more dead
+/// wafer links than it has), or a traffic pattern its fabric's
+/// endpoints cannot carry (see [`PatternSpec::check`]) is a
+/// [`SpecError::Invalid`] naming the field, never a worker panic or a
+/// job that runs without sending anything.
 pub fn campaign_from_value(value: &Json) -> Result<CampaignSpec, SpecError> {
     let obj = expect_obj(value, "spec")?;
     let name = require_str(obj, "name", "spec")?.to_string();
@@ -157,7 +162,29 @@ pub fn campaign_from_value(value: &Json) -> Result<CampaignSpec, SpecError> {
         spec.shards = as_usize(v, "shards")?.max(1);
     }
     check_dragonfly(&spec)?;
+    check_patterns(&spec)?;
     Ok(spec)
+}
+
+/// Rejects a traffic pattern that cannot be built over the endpoints of
+/// a fabric it runs on (see [`CampaignSpec::endpoints`]).
+fn check_patterns(spec: &CampaignSpec) -> Result<(), SpecError> {
+    for (j, fabric) in spec.fabrics.iter().enumerate() {
+        // A mesh radix too small for its direction ports is a shape
+        // error, not a pattern one.
+        let Some(endpoints) = spec.endpoints(fabric) else {
+            continue;
+        };
+        for (i, pattern) in spec.patterns.iter().enumerate() {
+            pattern.check(endpoints).map_err(|why| {
+                invalid(
+                    format!("patterns[{i}]"),
+                    format!("{why} (on fabrics[{j}], {})", fabric.label()),
+                )
+            })?;
+        }
+    }
+    Ok(())
 }
 
 /// Rejects a dragonfly its jobs could not build: a zero dimension or
@@ -252,14 +279,21 @@ fn fabric_from_value(value: &Json, ctx: &str) -> Result<FabricSpec, SpecError> {
         .ok_or_else(|| invalid(format!("{ctx}.kind"), "missing or non-string fabric kind"))?;
     match kind {
         "2d" => Ok(FabricSpec::Flat2d {
-            radix: require_usize(value, "radix", ctx)?,
+            radix: require_radix(value, ctx)?,
         }),
-        "folded" => Ok(FabricSpec::Folded {
-            radix: require_usize(value, "radix", ctx)?,
-            layers: require_usize(value, "layers", ctx)?,
-        }),
+        "folded" => {
+            let radix = require_radix(value, ctx)?;
+            let layers = require_usize(value, "layers", ctx)?;
+            if layers < 2 || !radix.is_multiple_of(layers) {
+                return Err(invalid(
+                    format!("{ctx}.layers"),
+                    format!("radix {radix} does not fold over {layers} layers (at least 2)"),
+                ));
+            }
+            Ok(FabricSpec::Folded { radix, layers })
+        }
         "matching" => {
-            let radix = require_usize(value, "radix", ctx)?;
+            let radix = require_radix(value, ctx)?;
             let policy_ctx = format!("{ctx}.policy");
             let name = value
                 .get("policy")
@@ -340,6 +374,7 @@ fn scheme_from_label(label: &str, ctx: &str) -> Result<ArbitrationScheme, SpecEr
         "lrg" => Ok(ArbitrationScheme::LayerToLayerLrg),
         "wlrg" => Ok(ArbitrationScheme::WeightedLrg),
         _ => match label.strip_prefix("clrg").and_then(|n| n.parse().ok()) {
+            Some(0) => Err(invalid(ctx.to_string(), "clrg needs at least one class")),
             Some(classes) => Ok(ArbitrationScheme::ClassBased { classes }),
             None => Err(invalid(
                 ctx.to_string(),
@@ -454,6 +489,9 @@ fn sim_from_value(value: &Json) -> Result<SimParams, SpecError> {
     }
     if let Some(v) = value.get("packet_len") {
         sim.packet_len_flits = as_usize(v, "sim.packet_len")?;
+        if sim.packet_len_flits == 0 {
+            return Err(invalid("sim.packet_len", "a packet has at least one flit"));
+        }
     }
     if let Some(v) = value.get("warmup") {
         sim.warmup = as_u64(v, "sim.warmup")?;
@@ -467,7 +505,15 @@ fn sim_from_value(value: &Json) -> Result<SimParams, SpecError> {
     match value.get("window") {
         None => {}
         Some(Json::Null) => sim.window = None,
-        Some(v) => sim.window = Some(as_usize(v, "sim.window")?),
+        Some(v) => match as_usize(v, "sim.window")? {
+            0 => {
+                return Err(invalid(
+                    "sim.window",
+                    "a window of 0 outstanding packets sends nothing; use null for no window",
+                ));
+            }
+            window => sim.window = Some(window),
+        },
     }
     if let Some(v) = value.get("record_invariants") {
         sim.record_invariants = v
@@ -525,6 +571,14 @@ fn require_str<'a>(
         .ok_or_else(|| invalid(format!("{ctx}.{key}"), "missing required field"))?
         .as_str()
         .ok_or_else(|| invalid(format!("{ctx}.{key}"), "expected a string"))
+}
+
+/// A fabric's `radix`, which must be at least 1.
+fn require_radix(value: &Json, ctx: &str) -> Result<usize, SpecError> {
+    match require_usize(value, "radix", ctx)? {
+        0 => Err(invalid(format!("{ctx}.radix"), "radix must be at least 1")),
+        radix => Ok(radix),
+    }
 }
 
 fn require_usize(value: &Json, key: &str, ctx: &str) -> Result<usize, SpecError> {
@@ -627,6 +681,21 @@ mod tests {
         )
     }
 
+    /// A single-switch campaign of `pattern` on one 2D fabric of `radix`.
+    fn on_switch(radix: usize, pattern: &str) -> String {
+        format!(
+            r#"{{"name":"x","fabrics":[{{"kind":"2d","radix":{radix}}}],"patterns":["{pattern}"]}}"#
+        )
+    }
+
+    /// A campaign of `pattern` on a 12-endpoint dragonfly (3 groups of
+    /// 2 routers with 2 endpoints each).
+    fn on_dragonfly(pattern: &str) -> String {
+        format!(
+            r#"{{"name":"x","topology":{{"kind":"dragonfly","routers_per_group":2,"endpoints_per_router":2,"global_per_router":1,"groups":3}},"fabrics":[{{"kind":"2d","radix":8}}],"patterns":["{pattern}"]}}"#
+        )
+    }
+
     #[test]
     fn bad_specs_are_typed_errors_not_panics() {
         for (text, fragment) in [
@@ -685,6 +754,37 @@ mod tests {
             (&dragonfly(2, 2, 1, 4, 8, 0), "topology.groups"),
             // 3 groups have 3 wafer links.
             (&dragonfly(2, 2, 1, 3, 8, 4), "faults[0].dead_tsvs"),
+            // Each of these parsed and then panicked the worker.
+            (&on_switch(16, "hotspot99"), "patterns[0]"),
+            (&on_switch(8, "transpose"), "patterns[0]"),
+            (&on_switch(1, "tornado"), "patterns[0]"),
+            (&on_switch(16, "interlayer0"), "patterns[0]"),
+            (&on_switch(16, "interlayer3"), "patterns[0]"),
+            (&on_switch(16, "worstl2lc0"), "patterns[0]"),
+            (&on_switch(16, "worstl2lc3"), "patterns[0]"),
+            (&on_switch(16, "incast99"), "patterns[0]"),
+            (&on_dragonfly("transpose"), "patterns[0]"),
+            (
+                r#"{"name":"x","fabrics":[{"kind":"2d","radix":0}]}"#,
+                "fabrics[0].radix",
+            ),
+            (
+                r#"{"name":"x","fabrics":[{"kind":"matching","radix":0,"policy":"wavefront"}]}"#,
+                "fabrics[0].radix",
+            ),
+            (
+                r#"{"name":"x","fabrics":[{"kind":"folded","radix":16,"layers":0}]}"#,
+                "fabrics[0].layers",
+            ),
+            (
+                r#"{"name":"x","fabrics":[{"kind":"folded","radix":16,"layers":3}]}"#,
+                "fabrics[0].layers",
+            ),
+            // Each of these ran without sending anything.
+            (r#"{"name":"x","sim":{"packet_len":0}}"#, "sim.packet_len"),
+            (r#"{"name":"x","sim":{"window":0}}"#, "sim.window"),
+            (&on_dragonfly("hotspot20"), "patterns[0]"),
+            (r#"{"name":"x","schemes":["clrg0"]}"#, "schemes[0]"),
         ] {
             let err = campaign_from_json(text).unwrap_err();
             assert!(matches!(err, SpecError::Invalid { .. }), "{text}: {err}");
@@ -695,6 +795,20 @@ mod tests {
         }
         // The largest valid shape of that family still parses.
         assert!(campaign_from_json(&dragonfly(2, 2, 1, 3, 4, 3)).is_ok());
+        // Each pattern at the edge of what its endpoints carry parses.
+        for (radix, pattern) in [
+            (16, "hotspot15"),
+            (16, "transpose"),
+            (2, "tornado"),
+            (16, "interlayer4"),
+            (16, "worstl2lc2"),
+            (16, "incast16"),
+        ] {
+            let text = on_switch(radix, pattern);
+            assert!(campaign_from_json(&text).is_ok(), "{text}");
+        }
+        assert!(campaign_from_json(&on_dragonfly("hotspot11")).is_ok());
+        assert!(campaign_from_json(r#"{"name":"x","schemes":["clrg1"]}"#).is_ok());
         // The network engine does not read the VC depth, so a mesh may
         // carry packets longer than it.
         let mesh = r#"{"name":"x","topology":{"kind":"mesh","cols":2,"rows":2,"ports_per_direction":1},"sim":{"packet_len":8,"vc_depth":4}}"#;

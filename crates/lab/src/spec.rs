@@ -318,6 +318,46 @@ impl PatternSpec {
         }
     }
 
+    /// Checks that [`build`](Self::build) can make the pattern for `n`
+    /// endpoints, and says why not: a destination beyond the endpoints,
+    /// or a shape the endpoint count does not have.
+    pub fn check(&self, n: usize) -> Result<(), String> {
+        let square = |n: usize| {
+            let side = (n as f64).sqrt().round() as usize;
+            side * side == n
+        };
+        Err(match *self {
+            _ if n == 0 => "there are no endpoints to send between".to_string(),
+            PatternSpec::Hotspot { output } if output >= n => {
+                format!("hotspot output {output} is not one of the {n} endpoints")
+            }
+            PatternSpec::Transpose if !square(n) => {
+                format!("transpose needs a square endpoint count, not {n}")
+            }
+            PatternSpec::BitComplement if !n.is_power_of_two() => {
+                format!("bit complement needs a power-of-two endpoint count, not {n}")
+            }
+            PatternSpec::Tornado | PatternSpec::NeighborShift if n < 2 => {
+                format!("{} needs at least 2 endpoints", self.label())
+            }
+            PatternSpec::InterLayerOnly { layers } | PatternSpec::WorstCaseL2lc { layers }
+                if layers < 2 || !n.is_multiple_of(layers) =>
+            {
+                format!("{n} endpoints do not divide over {layers} layers (at least 2)")
+            }
+            PatternSpec::Incast { fanin } if !(1..=n).contains(&fanin) => {
+                format!("incast fan-in {fanin} is not within 1 to the {n} endpoints")
+            }
+            PatternSpec::Rpc { delay } if n < 4 || delay == 0 => {
+                format!("rpc needs at least 4 endpoints and a positive delay, not {n} and {delay}")
+            }
+            PatternSpec::Diurnal { period } if period < 2 => {
+                format!("diurnal period must be at least 2, not {period}")
+            }
+            _ => return Ok(()),
+        })
+    }
+
     /// Builds the generator for `n` endpoints (the switch radix, or the
     /// core count for mesh topologies).
     pub fn build(&self, n: usize) -> Box<dyn TrafficPattern> {
@@ -820,6 +860,32 @@ impl CampaignSpec {
         }
     }
 
+    /// The endpoints a traffic pattern runs over on `fabric`: the
+    /// fabric radix on a single switch, the cores of a mesh (the ports
+    /// its four directions leave on each router, times the routers),
+    /// the endpoints of a dragonfly. `None` for a mesh whose radix
+    /// cannot hold its direction ports.
+    pub fn endpoints(&self, fabric: &FabricSpec) -> Option<usize> {
+        let radix = fabric.radix();
+        match self.topology {
+            Topology::SingleSwitch => Some(radix),
+            Topology::Mesh {
+                cols,
+                rows,
+                ports_per_direction,
+                ..
+            } => radix
+                .checked_sub(4 * ports_per_direction)
+                .map(|cores| cores * cols * rows),
+            Topology::Dragonfly {
+                routers_per_group,
+                endpoints_per_router,
+                groups,
+                ..
+            } => Some(routers_per_group * endpoints_per_router * groups),
+        }
+    }
+
     /// Sets the master seed.
     pub fn master_seed(mut self, seed: u64) -> Self {
         self.master_seed = seed;
@@ -1148,7 +1214,9 @@ impl CampaignSpec {
                         None => MeshPortMap::Contiguous,
                     });
                 let radix = job.fabric.radix();
-                let cores = (radix - 4 * ports_per_direction) * cols * rows;
+                let cores = self
+                    .endpoints(&job.fabric)
+                    .expect("mesh radix holds its direction ports");
                 let mut sim = sharded_mesh(
                     &cfg,
                     radix,
@@ -1193,7 +1261,7 @@ impl CampaignSpec {
                 );
                 let geo = DragonflyGeometry::new(dcfg, radix, &dead)
                     .expect("campaign dragonfly must be buildable and routable");
-                let endpoints = routers_per_group * groups * endpoints_per_router;
+                let endpoints = self.endpoints(&job.fabric).expect("dragonfly endpoints");
                 let mut cfg = ShardedConfig::new()
                     .injection_rate(job.load)
                     .warmup(self.sim.warmup)

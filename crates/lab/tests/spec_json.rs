@@ -225,6 +225,33 @@ fn random_spec(round: usize, rng: &mut StdRng) -> CampaignSpec {
         sim = sim.window(Some(rng.gen_range(1usize..16)));
     }
     sim = sim.record_invariants(rng.gen_bool(0.5));
+    // Keep every router of a mesh with cores, and only the patterns its
+    // fabrics' endpoints can carry (the parser rejects the rest).
+    if let Topology::Mesh {
+        ports_per_direction,
+        ..
+    } = &mut spec.topology
+    {
+        if spec
+            .fabrics
+            .iter()
+            .any(|f| f.radix() <= 4 * *ports_per_direction)
+        {
+            *ports_per_direction = 1;
+        }
+    }
+    let patterns = std::mem::take(&mut spec.patterns);
+    spec.patterns = patterns
+        .into_iter()
+        .filter(|p| {
+            spec.fabrics
+                .iter()
+                .all(|f| p.check(spec.endpoints(f).expect("cores")).is_ok())
+        })
+        .collect();
+    if spec.patterns.is_empty() {
+        spec.patterns.push(PatternSpec::Uniform);
+    }
     spec.sim(sim)
 }
 
