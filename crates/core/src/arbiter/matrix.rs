@@ -11,67 +11,63 @@
 //! priority update when that winner also wins the inter-layer arbitration
 //! (the back-propagated update of §III-B1 that prevents starvation).
 //!
-//! Every LRG in the crate runs one row kernel, `LrgBank`: a switch
-//! keeps all of its matrices of one size as rows of one word array, and
-//! the standalone [`MatrixArbiter`] is a bank of one.
+//! The matrix an LRG update maintains is always a total order, so the
+//! simulator stores it as what it encodes: one rank per requestor, 0
+//! the highest. Row `i` of the matrix is the set of requestors ranked
+//! below `i`, so a grant (the requestor no other requestor outranks) is
+//! the lowest-ranked requestor, and an update (winner below everybody,
+//! the rest in their order) gives the winner the last rank and moves up
+//! everyone it outranked. Every LRG in the crate runs one rank kernel,
+//! `LrgBank`: a switch keeps all of its arbiters of one size as rows of
+//! one rank array, and the standalone [`MatrixArbiter`] is a bank of
+//! one.
 
 use crate::bits::BitSet;
 
-/// A bank of equal-size LRG matrices stored as rows of one contiguous
-/// word array: the row kernel every LRG arbiter in the crate runs on.
+/// A bank of equal-size LRG arbiters stored as rows of one rank array:
+/// the kernel every LRG arbiter in the crate runs on.
 ///
-/// Matrix `m` of an `n`-way bank occupies `n` rows of `w = ceil(n / 64)`
-/// words each, at `words[m * n * w..(m + 1) * n * w]`; bit `j` of row
-/// `i` is set iff requestor `i` outranks `j`. A switch keeps each of its
-/// arbiter banks (Hi-Rise's local-switch columns and per-output
-/// sub-blocks, a 2D switch's output columns) in one bank, so an
-/// arbitration touches a few adjacent cache lines instead of one heap
-/// allocation per arbiter. [`MatrixArbiter`] is a bank of one.
+/// Arbiter `m` of an `n`-way bank occupies `ranks[m * n..(m + 1) * n]`;
+/// entry `i` is requestor `i`'s rank, and the ranks of one arbiter are
+/// a permutation of `0..n`. A switch keeps each of its arbiter banks
+/// (Hi-Rise's local-switch columns and per-output sub-blocks, a 2D
+/// switch's output columns) in one bank, so an arbitration touches a
+/// few adjacent cache lines instead of one heap allocation per arbiter,
+/// and an `n`-way arbiter fills `2n` bytes instead of the matrix's
+/// `n²` bits. [`MatrixArbiter`] is a bank of one.
 #[derive(Clone, Debug)]
 pub(crate) struct LrgBank {
-    words: Vec<u64>,
-    /// Requestors per matrix.
+    ranks: Vec<u16>,
+    /// Requestors per arbiter.
     n: usize,
-    /// Words per row, `ceil(n / 64)`.
-    w: usize,
 }
 
 impl LrgBank {
-    /// `count` matrices over `n` requestors, each in the default order
+    /// `count` arbiters over `n` requestors, each in the default order
     /// (lower indices outrank higher ones).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the `u16` rank range.
     pub(crate) fn new(count: usize, n: usize) -> Self {
-        let w = n.div_ceil(64);
-        let mut words = vec![0u64; count * n * w];
-        for block in words.chunks_exact_mut((n * w).max(1)) {
-            for (i, row) in block.chunks_exact_mut(w).enumerate() {
-                // Row `i` holds every requestor ranked below it: `i+1..n`.
-                for (v, word) in row.iter_mut().enumerate() {
-                    let lo = (i + 1).max(v * 64);
-                    let hi = n.min(v * 64 + 64);
-                    if lo < hi {
-                        *word = (!0u64 >> (64 - (hi - lo))) << (lo - v * 64);
-                    }
-                }
-            }
+        assert!(
+            n <= usize::from(u16::MAX) + 1,
+            "{n} requestors exceed the rank range"
+        );
+        let default: Vec<u16> = (0..n).map(|i| i as u16).collect();
+        Self {
+            ranks: default.repeat(count),
+            n,
         }
-        Self { words, n, w }
     }
 
-    /// The rows of matrix `m`.
+    /// The ranks of arbiter `m`.
     #[inline]
-    fn block(&self, m: usize) -> &[u64] {
-        let size = self.n * self.w;
-        &self.words[m * size..(m + 1) * size]
+    fn block(&self, m: usize) -> &[u16] {
+        &self.ranks[m * self.n..(m + 1) * self.n]
     }
 
-    /// Row `i` of matrix `m`.
-    #[inline]
-    fn row(&self, m: usize, i: usize) -> &[u64] {
-        let start = (m * self.n + i) * self.w;
-        &self.words[start..start + self.w]
-    }
-
-    /// Replaces matrix `m`'s priority order, `order[0]` highest.
+    /// Replaces arbiter `m`'s priority order, `order[0]` highest.
     ///
     /// # Panics
     ///
@@ -84,54 +80,35 @@ impl LrgBank {
             assert!(r < n && !seen[r], "order must be a permutation of 0..n");
             seen[r] = true;
         }
-        // A requestor's row is exactly the set of requestors ranked below
-        // it, so a running "everyone not yet placed" set fills each row
-        // with one word-level copy instead of an O(n²) per-bit loop.
-        let w = self.w;
-        let mut below = BitSet::new(n);
-        for (rank, &winner) in order.iter().enumerate() {
-            if rank == 0 {
-                below.set_all_except(winner);
-            } else {
-                below.remove(winner);
-            }
-            let start = (m * n + winner) * w;
-            self.words[start..start + w].copy_from_slice(below.words());
+        let block = &mut self.ranks[m * n..(m + 1) * n];
+        for (rank, &requestor) in order.iter().enumerate() {
+            block[requestor] = rank as u16;
         }
     }
 
-    /// Whether requestor `a` outranks `b` in matrix `m`.
+    /// Whether requestor `a` outranks `b` in arbiter `m`.
     #[inline]
     pub(crate) fn outranks(&self, m: usize, a: usize, b: usize) -> bool {
-        self.row(m, a)[b / 64] >> (b % 64) & 1 == 1
+        let block = self.block(m);
+        block[a] < block[b]
     }
 
-    /// Matrix `m`'s highest-priority requestor among `requests`, or
+    /// Arbiter `m`'s highest-priority requestor among `requests`, or
     /// `None` for an empty set. State is not changed.
     ///
     /// # Panics
     ///
-    /// Panics if the mask capacity differs from the matrix size.
+    /// Panics if the mask capacity differs from the arbiter size.
     pub(crate) fn grant_mask(&self, m: usize, requests: &BitSet) -> Option<usize> {
         assert_eq!(requests.capacity(), self.n, "request mask size mismatch");
-        requests.iter().find(|&candidate| {
-            let row = self.row(m, candidate);
-            requests.words().iter().enumerate().all(|(v, &need)| {
-                let need = if v == candidate / 64 {
-                    need & !(1u64 << (candidate % 64))
-                } else {
-                    need
-                };
-                need & !row[v] == 0
-            })
-        })
+        let block = self.block(m);
+        requests.iter().min_by_key(|&candidate| block[candidate])
     }
 
     /// As [`grant_mask`](Self::grant_mask) over `W` raw request words
     /// (`requests[v]` holds requestors `64v..64v+63`). `W` must equal
-    /// the row width and bits at or beyond `n` must be zero (both
-    /// debug-asserted). Candidates are scanned in ascending index order
-    /// with masked word ops against the rows, so the winner is the one
+    /// `ceil(n / 64)` and bits at or beyond `n` must be zero (both
+    /// debug-asserted). Ranks are distinct, so the winner is the one
     /// `grant_mask` picks on the same set.
     #[inline]
     pub(crate) fn grant_words<const W: usize>(
@@ -139,40 +116,32 @@ impl LrgBank {
         m: usize,
         requests: &[u64; W],
     ) -> Option<usize> {
-        debug_assert_eq!(W, self.w, "word count mismatch");
+        debug_assert_eq!(W, self.n.div_ceil(64), "word count mismatch");
         debug_assert!(
             self.n.is_multiple_of(64) || requests[W - 1] & !((1u64 << (self.n % 64)) - 1) == 0,
             "request bits beyond the arbiter size"
         );
         let block = self.block(m);
-        for word in 0..W {
-            let mut rest = requests[word];
+        let mut best: Option<usize> = None;
+        let mut best_rank = u32::MAX;
+        for (word, &bits) in requests.iter().enumerate() {
+            let mut rest = bits;
             while rest != 0 {
-                let candidate_bit = rest & rest.wrapping_neg();
                 let candidate = word * 64 + rest.trailing_zeros() as usize;
                 rest &= rest - 1;
-                let row = &block[candidate * W..candidate * W + W];
-                let mut outranked = true;
-                for (v, &row_word) in row.iter().enumerate() {
-                    let mut need = requests[v];
-                    if v == word {
-                        need &= !candidate_bit;
-                    }
-                    if need & !row_word != 0 {
-                        outranked = false;
-                        break;
-                    }
-                }
-                if outranked {
-                    return Some(candidate);
+                let rank = u32::from(block[candidate]);
+                if rank < best_rank {
+                    best_rank = rank;
+                    best = Some(candidate);
                 }
             }
         }
-        None
+        best
     }
 
-    /// Commits an LRG update in matrix `m`: `winner` drops to the lowest
-    /// priority and every other requestor gains priority over it.
+    /// Commits an LRG update in arbiter `m`: `winner` drops to the
+    /// lowest priority and every requestor it outranked moves up one
+    /// rank, so the others keep their order.
     ///
     /// # Panics
     ///
@@ -180,54 +149,32 @@ impl LrgBank {
     #[inline]
     pub(crate) fn update(&mut self, m: usize, winner: usize) {
         assert!(winner < self.n, "winner {winner} out of range");
-        let (n, w) = (self.n, self.w);
-        let block = &mut self.words[m * n * w..(m + 1) * n * w];
-        if w == 1 {
-            // Single-word rows are contiguous, so the column sweep is a
-            // plain bounds-check-free pass the compiler vectorizes.
-            // Zeroing the winner's row afterwards both drops it below
-            // everybody and takes back the self-edge in one store. Every
-            // arbiter with n <= 64 takes this path — all of them, for the
-            // radices the paper evaluates — and a Hi-Rise grant runs it
-            // twice (local column + sub-block), so it is hot.
-            let mask = 1u64 << winner;
-            for row in block.iter_mut() {
-                *row |= mask;
-            }
-            block[winner] = 0;
-            return;
+        let n = self.n;
+        let block = &mut self.ranks[m * n..(m + 1) * n];
+        let won = block[winner];
+        // A branch-free sweep the compiler vectorizes: a Hi-Rise grant
+        // runs it twice (local column + sub-block), so it is hot.
+        for rank in block.iter_mut() {
+            *rank -= u16::from(*rank > won);
         }
-        // The winner drops below everybody: zero its row…
-        block[winner * w..(winner + 1) * w].fill(0);
-        // …and set its bit in every row — then take back the self-edge.
-        let word = winner / 64;
-        let mask = 1u64 << (winner % 64);
-        for row in block.chunks_exact_mut(w) {
-            row[word] |= mask;
-        }
-        block[winner * w + word] &= !mask;
+        block[winner] = (n - 1) as u16;
     }
 
-    /// Matrix `m`'s priority order, highest first. O(n²); for tests and
+    /// Arbiter `m`'s priority order, highest first. For tests and
     /// debugging.
     pub(crate) fn priority_order(&self, m: usize) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.n).collect();
-        // Rank = number of requestors this one outranks; in a total order
-        // the ranks are all distinct.
-        order.sort_by_key(|&i| {
-            std::cmp::Reverse(self.row(m, i).iter().map(|w| w.count_ones()).sum::<u32>())
-        });
+        order.sort_by_key(|&i| self.block(m)[i]);
         order
     }
 
-    /// Matrix `m` copied out as a standalone arbiter (the circuit-model
+    /// Arbiter `m` copied out as a standalone arbiter (the circuit-model
     /// cross-check reads one).
     pub(crate) fn matrix(&self, m: usize) -> MatrixArbiter {
         MatrixArbiter {
             bank: Self {
-                words: self.block(m).to_vec(),
+                ranks: self.block(m).to_vec(),
                 n: self.n,
-                w: self.w,
             },
         }
     }
@@ -239,10 +186,10 @@ impl LrgBank {
 /// distinct requestors exactly one outranks the other, so every non-empty
 /// request set has exactly one winner.
 ///
-/// The matrix is a one-matrix `LrgBank`, the row kernel every switch
-/// arbitrates with: row `i` occupies `words[i*w..(i+1)*w]`, so `grant`
-/// reads rows with no pointer chasing and `update` is a linear sweep the
-/// compiler can vectorize.
+/// The arbiter is a one-arbiter `LrgBank`, the rank kernel every switch
+/// arbitrates with: it holds the matrix as one rank per requestor, so
+/// `grant` reads one rank per requestor and `update` is a linear sweep
+/// the compiler can vectorize.
 #[derive(Clone, Debug)]
 pub struct MatrixArbiter {
     bank: LrgBank,
@@ -272,10 +219,10 @@ impl MatrixArbiter {
         arbiter
     }
 
-    /// Row `i` as a word slice.
+    /// Every requestor's rank, 0 highest.
     #[cfg(test)]
-    fn row(&self, i: usize) -> &[u64] {
-        self.bank.row(0, i)
+    fn ranks(&self) -> &[u16] {
+        self.bank.block(0)
     }
 
     /// Number of requestors.
@@ -350,7 +297,7 @@ impl MatrixArbiter {
     }
 
     /// Current priority order, highest first. Intended for tests and
-    /// debugging; it is O(n²).
+    /// debugging; it sorts the ranks.
     pub fn priority_order(&self) -> Vec<usize> {
         self.bank.priority_order(0)
     }
@@ -438,7 +385,7 @@ mod tests {
     /// Property test at radices straddling the word boundary (17, 33,
     /// 63, 65 plus exact-word sizes): random request sets and random
     /// LRG updates, with `grant_words` checked against `grant_mask`
-    /// every step and the row tail invariant held throughout.
+    /// every step and the ranks a permutation of `0..n` throughout.
     #[test]
     fn grant_words_matches_grant_mask_across_awkward_radices() {
         use crate::rng::{Rng, SeedableRng, StdRng};
@@ -461,17 +408,13 @@ mod tests {
                 if let Some(winner) = expected {
                     arb.update(winner);
                 }
-                // Row tail invariant: no priority bits at or beyond n.
-                if !n.is_multiple_of(64) {
-                    let tail = !((1u64 << (n % 64)) - 1);
-                    for row in 0..n {
-                        assert_eq!(
-                            arb.row(row)[W - 1] & tail,
-                            0,
-                            "stray tail bits in row {row}"
-                        );
-                    }
-                }
+                // The ranks stay a total order: a permutation of 0..n.
+                let mut ranks = arb.ranks().to_vec();
+                ranks.sort_unstable();
+                assert!(
+                    ranks.iter().enumerate().all(|(i, &r)| usize::from(r) == i),
+                    "ranks are not a permutation at n={n} step={step}"
+                );
             }
         }
 

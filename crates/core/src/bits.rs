@@ -122,13 +122,6 @@ impl BitSet {
         self.words[word]
     }
 
-    /// The backing words in ascending bit order; bits at or beyond
-    /// `capacity` are guaranteed zero.
-    #[inline]
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Mask of the bit positions in word `word` that are inside
     /// `capacity` — all-ones except for a partial tail word.
     #[cfg_attr(not(test), allow(dead_code))]

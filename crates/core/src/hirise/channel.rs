@@ -5,18 +5,16 @@
 //! connection at a time; ownership is what makes the L2LCs a bandwidth
 //! bottleneck under inter-layer-heavy traffic (§VI-B's pathological case).
 
-use crate::ids::InputId;
-
-/// Busy/owner state for every L2LC of a switch, indexed by
-/// `(source layer, destination layer, channel)`.
+/// Busy state for every L2LC of a switch, indexed by `(source layer,
+/// destination layer, channel)` or by the flat [`index`](Self::index)
+/// of that triple.
 #[derive(Clone, Debug)]
 pub(crate) struct ChannelTable {
     layers: usize,
     multiplicity: usize,
-    owners: Vec<Option<InputId>>,
-    /// Bitmap mirror of `owners.is_some()`; the arbitration admission
-    /// loop probes busyness once per inter-layer request per cycle, and
-    /// a bit test on a hot word beats an `Option<InputId>` load.
+    /// Bit `index(src, dst, k)` is set while a connection holds the
+    /// channel; the arbitration admission loop probes it once per
+    /// inter-layer request per cycle.
     busy: Vec<u64>,
 }
 
@@ -26,7 +24,6 @@ impl ChannelTable {
         Self {
             layers,
             multiplicity,
-            owners: vec![None; count],
             busy: vec![0; count.div_ceil(64).max(1)],
         }
     }
@@ -44,23 +41,27 @@ impl ChannelTable {
         self.busy[idx / 64] >> (idx % 64) & 1 == 1
     }
 
-    pub(crate) fn acquire(&mut self, src: usize, dst: usize, k: usize, owner: InputId) {
-        let idx = self.index(src, dst, k);
-        debug_assert!(self.owners[idx].is_none(), "channel already owned");
-        self.owners[idx] = Some(owner);
+    /// Marks the channel at flat index `idx` held.
+    pub(crate) fn acquire(&mut self, idx: usize) {
+        debug_assert!(
+            self.busy[idx / 64] >> (idx % 64) & 1 == 0,
+            "channel already owned"
+        );
         self.busy[idx / 64] |= 1u64 << (idx % 64);
     }
 
-    pub(crate) fn release(&mut self, src: usize, dst: usize, k: usize) {
-        let idx = self.index(src, dst, k);
-        debug_assert!(self.owners[idx].is_some(), "releasing a free channel");
-        self.owners[idx] = None;
+    /// Frees the channel at flat index `idx`.
+    pub(crate) fn release(&mut self, idx: usize) {
+        debug_assert!(
+            self.busy[idx / 64] >> (idx % 64) & 1 == 1,
+            "releasing a free channel"
+        );
         self.busy[idx / 64] &= !(1u64 << (idx % 64));
     }
 
     #[cfg(test)]
     pub(crate) fn busy_count(&self) -> usize {
-        self.owners.iter().filter(|o| o.is_some()).count()
+        self.busy.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -91,11 +92,11 @@ mod tests {
     fn acquire_release_cycle() {
         let mut table = ChannelTable::new(3, 2);
         assert!(!table.is_busy(0, 2, 1));
-        table.acquire(0, 2, 1, InputId::new(5));
+        table.acquire(table.index(0, 2, 1));
         assert!(table.is_busy(0, 2, 1));
         assert!(!table.is_busy(2, 0, 1)); // direction matters
         assert_eq!(table.busy_count(), 1);
-        table.release(0, 2, 1);
+        table.release(table.index(0, 2, 1));
         assert!(!table.is_busy(0, 2, 1));
     }
 }

@@ -36,7 +36,7 @@ enum SchemeBank {
 }
 
 /// The inter-layer sub-blocks of a switch, one per final output. Their
-/// slot-level LRG matrices are rows of one bank, and their WLRG credits
+/// slot-level LRG ranks are rows of one bank, and their WLRG credits
 /// or CLRG counters one array, all indexed by output.
 #[derive(Clone, Debug)]
 pub(crate) struct SubBlocks {

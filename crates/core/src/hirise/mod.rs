@@ -36,6 +36,7 @@ use channel::ChannelTable;
 use interlayer::{Contender, SubBlocks};
 use local::LocalSwitches;
 use std::cell::RefCell;
+use std::sync::Arc;
 
 /// The local resource a connection holds on its source layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,11 +47,17 @@ enum PathResource {
     Channel { src: usize, dst: usize, k: usize },
 }
 
-/// An established connection's footprint.
+/// An established connection's footprint: its output, and the flat
+/// index of the L2LC it holds or [`Path::INTERMEDIATE`].
 #[derive(Clone, Copy, Debug)]
 struct Path {
-    output: OutputId,
-    resource: PathResource,
+    output: u16,
+    channel: u16,
+}
+
+impl Path {
+    /// `channel` of a same-layer connection, which holds no L2LC.
+    const INTERMEDIATE: u16 = u16::MAX;
 }
 
 /// A request that survived admission and was binned to a local column.
@@ -78,12 +85,16 @@ enum ColumnKind {
     Channel { compressed_dst: usize, k: usize },
 }
 
-/// Precomputed index-decode tables for the word kernel. The admission
-/// loop runs per request per cycle; these tables replace the `/ % `
-/// arithmetic of the `HiRiseConfig` helpers (runtime-divisor divisions)
-/// with single loads.
-#[derive(Clone, Debug)]
+/// Precomputed index-decode tables. The admission loop runs per
+/// request per cycle; these tables replace the `/ % ` arithmetic of the
+/// `HiRiseConfig` helpers (runtime-divisor divisions) with single
+/// loads. They are read-only and depend only on the switch's shape, so
+/// the switches of one shape share one copy (see
+/// [`shared`](Self::shared)).
+#[derive(Debug)]
 struct Decode {
+    /// `(radix, layers, channel multiplicity)` the tables describe.
+    shape: (usize, usize, usize),
     /// `(layer, local index)` per global input.
     input: Vec<(u16, u16)>,
     /// `(layer, local index)` per global output.
@@ -96,15 +107,52 @@ struct Decode {
     in_k: Vec<u16>,
     /// Statically-bound channel per output (output-binned policy).
     out_k: Vec<u16>,
+    /// What each column of a layer's local switch feeds.
+    kinds: Vec<ColumnKind>,
+}
+
+thread_local! {
+    /// The decode tables of the last Hi-Rise shape built on this
+    /// thread. A network's routers share one shape and are built on one
+    /// thread, so they share one copy of the tables.
+    static DECODE: RefCell<Option<Arc<Decode>>> = const { RefCell::new(None) };
 }
 
 impl Decode {
+    /// The tables for `cfg`'s shape: the ones last built on this thread
+    /// if they describe it, else fresh ones, which later switches of
+    /// the shape then share.
+    fn shared(cfg: &HiRiseConfig) -> Arc<Self> {
+        let shape = (cfg.radix(), cfg.layers(), cfg.channel_multiplicity());
+        DECODE.with(|cell| {
+            let mut last = cell.borrow_mut();
+            match &*last {
+                Some(decode) if decode.shape == shape && decode.allocation == cfg.allocation() => {
+                    Arc::clone(decode)
+                }
+                _ => {
+                    let decode = Arc::new(Self::new(cfg));
+                    *last = Some(Arc::clone(&decode));
+                    decode
+                }
+            }
+        })
+    }
+
     fn new(cfg: &HiRiseConfig) -> Self {
         let p = cfg.ports_per_layer();
+        let l = cfg.layers();
         let c = cfg.channel_multiplicity();
         let cols = p + cfg.channels_per_layer();
         let split = |index: usize| ((index / p) as u16, (index % p) as u16);
+        let mut kinds = vec![ColumnKind::Intermediate; p];
+        for compressed_dst in 0..l - 1 {
+            for k in 0..c {
+                kinds.push(ColumnKind::Channel { compressed_dst, k });
+            }
+        }
         Self {
+            shape: (cfg.radix(), l, c),
             input: (0..cfg.radix()).map(split).collect(),
             output: (0..cfg.radix()).map(split).collect(),
             col: (0..cfg.layers() * cols)
@@ -113,6 +161,7 @@ impl Decode {
             allocation: cfg.allocation(),
             in_k: (0..cfg.radix()).map(|i| ((i % p) % c) as u16).collect(),
             out_k: (0..cfg.radix()).map(|o| ((o % p) % c) as u16).collect(),
+            kinds,
         }
     }
 }
@@ -252,25 +301,25 @@ pub struct HiRiseSwitch {
     /// Every output's sub-block, as rows of one bank.
     subblocks: SubBlocks,
     channels: ChannelTable,
+    /// Per input, the connection it holds.
     connections: Vec<Option<Path>>,
-    output_owner: Vec<Option<InputId>>,
     /// Bitmap mirror of `connections.is_some()`, so the per-request
     /// admission check is one bit test instead of an `Option<Path>`
     /// load.
     connected: Vec<u64>,
-    /// Bitmap mirror of `output_owner.is_some()` for the phase-2 skip.
+    /// Bitmap over outputs: the output is held by a connection.
     owned: Vec<u64>,
-    column_kinds: Vec<ColumnKind>,
     /// Grants that travelled over each L2LC (flat channel index).
     channel_grants: Vec<u64>,
     /// Grants that used the local intermediate path, per layer.
     local_grants: Vec<u64>,
     /// Resolved arbitration kernel (see [`ArbiterKernel`]).
     kernel: KernelSel,
-    /// Index-decode tables for the word kernel's admission loop.
-    decode: Decode,
-    /// Fault-injection state; `None` until faults are enabled.
-    faults: Option<FaultState>,
+    /// Index-decode tables, shared by every switch of this shape.
+    decode: Arc<Decode>,
+    /// Fault-injection state; `None` until faults are enabled. Boxed:
+    /// it is large and cold, and most switches never enable it.
+    faults: Option<Box<FaultState>>,
 }
 
 impl HiRiseSwitch {
@@ -289,10 +338,21 @@ impl HiRiseSwitch {
     /// word kernels do not cover — or sub-blocks wider than 64 slots —
     /// fall back to the scalar pipeline. Both kernels produce
     /// bit-identical grant sequences.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the radix or the L2LC count reaches 65,535, past the
+    /// switch's `u16` port and channel tables.
     pub fn with_kernel(cfg: &HiRiseConfig, kernel: ArbiterKernel) -> Self {
         let p = cfg.ports_per_layer();
         let l = cfg.layers();
         let c = cfg.channel_multiplicity();
+        assert!(
+            cfg.radix() < usize::from(u16::MAX) && l * (l - 1) * c < usize::from(u16::MAX),
+            "radix {} with {} L2LCs exceeds the switch's u16 tables",
+            cfg.radix(),
+            l * (l - 1) * c
+        );
         let locals = LocalSwitches::new(cfg.local_arbiter(), l, p, c * (l - 1), c);
         let subblocks = SubBlocks::new(
             cfg.radix(),
@@ -300,15 +360,6 @@ impl HiRiseSwitch {
             cfg.radix(),
             cfg.scheme(),
         );
-        let mut column_kinds = Vec::with_capacity(p + c * (l - 1));
-        for _ in 0..p {
-            column_kinds.push(ColumnKind::Intermediate);
-        }
-        for compressed_dst in 0..l - 1 {
-            for k in 0..c {
-                column_kinds.push(ColumnKind::Channel { compressed_dst, k });
-            }
-        }
         // The sub-block word path carries its candidate-slot set in one
         // u64, so a sub-block wider than 64 slots forces the scalar
         // pipeline regardless of the local mask width.
@@ -323,14 +374,12 @@ impl HiRiseSwitch {
             subblocks,
             channels: ChannelTable::new(l, c),
             connections: vec![None; cfg.radix()],
-            output_owner: vec![None; cfg.radix()],
             connected: vec![0; cfg.radix().div_ceil(64)],
             owned: vec![0; cfg.radix().div_ceil(64)],
-            column_kinds,
             channel_grants: vec![0; l * (l - 1) * c],
             local_grants: vec![0; l],
             kernel: sel,
-            decode: Decode::new(cfg),
+            decode: Decode::shared(cfg),
             faults: None,
         }
     }
@@ -625,7 +674,7 @@ impl HiRiseSwitch {
                     .iter()
                     .find(|r| r.local_input == winner_local)
                     .expect("winner comes from the request list");
-                let resource = match self.column_kinds[column] {
+                let resource = match self.decode.kinds[column] {
                     ColumnKind::Intermediate => PathResource::Intermediate,
                     ColumnKind::Channel { compressed_dst, k } => PathResource::Channel {
                         src: layer,
@@ -819,7 +868,7 @@ impl HiRiseSwitch {
                     // were filtered at admission.
                     continue;
                 }
-                let resource = match self.column_kinds[column] {
+                let resource = match self.decode.kinds[column] {
                     ColumnKind::Intermediate => PathResource::Intermediate,
                     ColumnKind::Channel { compressed_dst, k } => PathResource::Channel {
                         src: layer,
@@ -928,25 +977,24 @@ impl HiRiseSwitch {
     fn commit_winner(&mut self, winner: &Phase1Winner, output: usize, grants: &mut Vec<Grant>) {
         let flat = winner.layer * self.column_count() + winner.column;
         self.locals.update(flat, winner.request.local_input);
-        match winner.resource {
+        let channel = match winner.resource {
             PathResource::Channel { src, dst, k } => {
-                self.channels.acquire(src, dst, k, winner.request.input);
-                let compressed_dst = if dst < src { dst } else { dst - 1 };
-                let c = self.cfg.channel_multiplicity();
-                let l = self.cfg.layers();
-                self.channel_grants[(src * (l - 1) + compressed_dst) * c + k] += 1;
+                let index = self.channels.index(src, dst, k);
+                self.channels.acquire(index);
+                self.channel_grants[index] += 1;
+                index as u16
             }
             PathResource::Intermediate => {
                 self.local_grants[winner.layer] += 1;
+                Path::INTERMEDIATE
             }
-        }
+        };
         let input = winner.request.input;
         self.connections[input.index()] = Some(Path {
-            output: OutputId::new(output),
-            resource: winner.resource,
+            output: output as u16,
+            channel,
         });
         self.connected[input.index() / 64] |= 1u64 << (input.index() % 64);
-        self.output_owner[output] = Some(input);
         self.owned[output / 64] |= 1u64 << (output % 64);
         grants.push(Grant {
             input,
@@ -1079,21 +1127,21 @@ impl Fabric for HiRiseSwitch {
         );
         if let Some(path) = self.connections[input.index()].take() {
             self.connected[input.index() / 64] &= !(1u64 << (input.index() % 64));
-            let out = path.output.index();
-            self.output_owner[out] = None;
+            let out = usize::from(path.output);
             self.owned[out / 64] &= !(1u64 << (out % 64));
-            if let PathResource::Channel { src, dst, k } = path.resource {
-                self.channels.release(src, dst, k);
+            if path.channel != Path::INTERMEDIATE {
+                self.channels.release(usize::from(path.channel));
             }
         }
     }
 
     fn connection(&self, input: InputId) -> Option<OutputId> {
-        self.connections[input.index()].map(|p| p.output)
+        self.connections[input.index()].map(|p| OutputId::new(usize::from(p.output)))
     }
 
     fn output_busy(&self, output: OutputId) -> bool {
-        self.output_owner[output.index()].is_some()
+        let output = output.index();
+        self.owned[output / 64] >> (output % 64) & 1 == 1
     }
 
     /// One fault-site bundle per L2LC: `L * (L-1) * c` bundles, indexed
@@ -1105,12 +1153,12 @@ impl Fabric for HiRiseSwitch {
 
     fn enable_faults(&mut self, seed: u64) -> Result<(), ConfigError> {
         let tsvs = Fabric::tsv_bundle_count(self);
-        self.faults = Some(FaultState::new(
+        self.faults = Some(Box::new(FaultState::new(
             self.cfg.radix(),
             tsvs,
             TsvMap::Direct,
             seed,
-        ));
+        )));
         Ok(())
     }
 
@@ -1129,7 +1177,7 @@ impl Fabric for HiRiseSwitch {
     }
 
     fn ticks_when_idle(&self) -> bool {
-        self.faults.as_ref().is_some_and(FaultState::has_flaky)
+        self.faults.as_ref().is_some_and(|f| f.has_flaky())
     }
 }
 

@@ -121,8 +121,9 @@ pub struct MatchingSwitch {
     matched_out_w: Vec<u64>,
     touched_out: Vec<u64>,
     touched_in: Vec<u64>,
-    /// Fault-injection state; `None` until faults are enabled.
-    faults: Option<FaultState>,
+    /// Fault-injection state; `None` until faults are enabled. Boxed:
+    /// it is large and cold, and most switches never enable it.
+    faults: Option<Box<FaultState>>,
 }
 
 impl MatchingSwitch {
@@ -591,7 +592,12 @@ impl Fabric for MatchingSwitch {
     }
 
     fn enable_faults(&mut self, seed: u64) -> Result<(), ConfigError> {
-        self.faults = Some(FaultState::new(self.radix, 0, TsvMap::Direct, seed));
+        self.faults = Some(Box::new(FaultState::new(
+            self.radix,
+            0,
+            TsvMap::Direct,
+            seed,
+        )));
         Ok(())
     }
 
@@ -610,7 +616,7 @@ impl Fabric for MatchingSwitch {
     }
 
     fn ticks_when_idle(&self) -> bool {
-        self.faults.as_ref().is_some_and(FaultState::has_flaky)
+        self.faults.as_ref().is_some_and(|f| f.has_flaky())
     }
 }
 

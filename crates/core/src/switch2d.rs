@@ -26,7 +26,7 @@ use crate::kernel::{ArbiterKernel, KernelSel};
 /// optional static QoS classes.
 #[derive(Clone, Debug)]
 pub struct Switch2d {
-    /// Every output column's LRG matrix, as rows of one bank.
+    /// Every output column's LRG ranks, as rows of one bank.
     arbiters: LrgBank,
     /// Per-input connected output.
     connections: Vec<Option<OutputId>>,
@@ -45,8 +45,9 @@ pub struct Switch2d {
     out_reqs: Vec<u64>,
     /// Word-kernel scratch: bitmap over outputs with admitted requests.
     touched: Vec<u64>,
-    /// Fault-injection state; `None` until faults are enabled.
-    faults: Option<FaultState>,
+    /// Fault-injection state; `None` until faults are enabled. Boxed:
+    /// it is large and cold, and most switches never enable it.
+    faults: Option<Box<FaultState>>,
 }
 
 impl Switch2d {
@@ -97,7 +98,7 @@ impl Switch2d {
     /// folded baseline uses this to route its bundle faults through the
     /// shared 2D datapath.
     pub(crate) fn enable_faults_mapped(&mut self, tsv_count: usize, map: TsvMap, seed: u64) {
-        self.faults = Some(FaultState::new(self.radix, tsv_count, map, seed));
+        self.faults = Some(Box::new(FaultState::new(self.radix, tsv_count, map, seed)));
     }
 
     pub(crate) fn faults_enabled(&self) -> bool {
@@ -321,7 +322,7 @@ impl Fabric for Switch2d {
     }
 
     fn ticks_when_idle(&self) -> bool {
-        self.faults.as_ref().is_some_and(FaultState::has_flaky)
+        self.faults.as_ref().is_some_and(|f| f.has_flaky())
     }
 }
 

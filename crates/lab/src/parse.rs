@@ -19,6 +19,7 @@ use hirise_core::{
     ArbitrationScheme, ChannelAllocation, HiRiseConfig, LocalArbiterKind, MatchPolicy,
 };
 use hirise_sim::dragonfly::{DragonflyConfig, DragonflyError};
+use hirise_sim::mesh_sim::{MeshGeometry, MeshPortMap, MeshShapeError};
 use std::fmt;
 
 /// Why a campaign spec could not be built from a JSON document.
@@ -76,10 +77,13 @@ pub fn campaign_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
 /// Hi-Rise geometry, a 2D, folded or matching fabric of radix 0, a
 /// folded fabric whose radix does not divide over at least 2 layers, 0
 /// or more than 64 VCs, a zero-flit packet, a packet longer than a VC
-/// buffer, a window of 0, a CLRG scheme of 0 classes, a dragonfly no
-/// job could build (a zero dimension, fewer than two groups, too small
-/// a radix, more groups than its global channels reach, more dead
-/// wafer links than it has), or a traffic pattern its fabric's
+/// buffer, a window of 0, a CLRG scheme of 0 classes, a mesh no job
+/// could build (a zero dimension, a radix with no port left for a core,
+/// a layer-aware port map whose layer count is zero or does not divide
+/// the radix), a dragonfly no job could build (a zero dimension, fewer
+/// than two groups, too small a radix, more groups than its global
+/// channels reach, more dead wafer links than it has), or a traffic
+/// pattern its fabric's
 /// endpoints cannot carry (see [`PatternSpec::check`]) is a
 /// [`SpecError::Invalid`] naming the field, never a worker panic or a
 /// job that runs without sending anything.
@@ -161,9 +165,39 @@ pub fn campaign_from_value(value: &Json) -> Result<CampaignSpec, SpecError> {
     if let Some(v) = obj.get("shards") {
         spec.shards = as_usize(v, "shards")?.max(1);
     }
+    check_mesh(&spec)?;
     check_dragonfly(&spec)?;
     check_patterns(&spec)?;
     Ok(spec)
+}
+
+/// Rejects a mesh its jobs could not build on some fabric: a zero
+/// dimension, a radix with no port left for a core, or a layer-aware
+/// port map whose layer count is zero or does not divide the radix.
+fn check_mesh(spec: &CampaignSpec) -> Result<(), SpecError> {
+    let Topology::Mesh {
+        cols,
+        rows,
+        ports_per_direction,
+        layer_aware,
+    } = spec.topology
+    else {
+        return Ok(());
+    };
+    let map = match layer_aware {
+        Some(layers) => MeshPortMap::LayerAware { layers },
+        None => MeshPortMap::Contiguous,
+    };
+    for (i, fabric) in spec.fabrics.iter().enumerate() {
+        MeshGeometry::check(cols, rows, ports_per_direction, fabric.radix(), map).map_err(|e| {
+            match e {
+                MeshShapeError::ZeroDimension { field } => invalid(format!("topology.{field}"), e),
+                MeshShapeError::RadixTooSmall { .. } => invalid(format!("fabrics[{i}].radix"), e),
+                MeshShapeError::BadLayerCount { .. } => invalid("topology.layer_aware", e),
+            }
+        })?;
+    }
+    Ok(())
 }
 
 /// Rejects a traffic pattern that cannot be built over the endpoints of
@@ -688,6 +722,16 @@ mod tests {
         )
     }
 
+    /// A mesh campaign of `cols x rows` routers with `ports` per
+    /// direction and, if given, a layer-aware port map, on one 2D
+    /// fabric of `radix`.
+    fn mesh(cols: usize, rows: usize, ports: usize, radix: usize, layers: Option<usize>) -> String {
+        let layer_aware = layers.map_or("null".to_string(), |l| l.to_string());
+        format!(
+            r#"{{"name":"x","topology":{{"kind":"mesh","cols":{cols},"rows":{rows},"ports_per_direction":{ports},"layer_aware":{layer_aware}}},"fabrics":[{{"kind":"2d","radix":{radix}}}]}}"#
+        )
+    }
+
     /// A campaign of `pattern` on a 12-endpoint dragonfly (3 groups of
     /// 2 routers with 2 endpoints each).
     fn on_dragonfly(pattern: &str) -> String {
@@ -754,6 +798,16 @@ mod tests {
             (&dragonfly(2, 2, 1, 4, 8, 0), "topology.groups"),
             // 3 groups have 3 wafer links.
             (&dragonfly(2, 2, 1, 3, 8, 4), "faults[0].dead_tsvs"),
+            // Mesh shapes no job can build.
+            (&mesh(0, 2, 1, 16, None), "topology.cols"),
+            (&mesh(2, 0, 1, 16, None), "topology.rows"),
+            (&mesh(2, 2, 0, 16, None), "topology.ports_per_direction"),
+            // 4 x 4 direction ports leave no core on radix 16.
+            (&mesh(2, 2, 4, 16, None), "fabrics[0].radix"),
+            (&mesh(2, 2, 5, 16, None), "fabrics[0].radix"),
+            (&mesh(2, 2, 1, 16, Some(0)), "topology.layer_aware"),
+            (&mesh(2, 2, 1, 16, Some(3)), "topology.layer_aware"),
+            (&mesh(2, 2, 1, 16, Some(32)), "topology.layer_aware"),
             // Each of these parsed and then panicked the worker.
             (&on_switch(16, "hotspot99"), "patterns[0]"),
             (&on_switch(8, "transpose"), "patterns[0]"),
@@ -795,6 +849,15 @@ mod tests {
         }
         // The largest valid shape of that family still parses.
         assert!(campaign_from_json(&dragonfly(2, 2, 1, 3, 4, 3)).is_ok());
+        // As do the valid meshes beside the rejected ones.
+        for text in [
+            mesh(1, 1, 3, 16, None),
+            mesh(2, 2, 1, 16, Some(1)),
+            mesh(2, 2, 1, 16, Some(4)),
+            mesh(2, 2, 1, 16, Some(16)),
+        ] {
+            assert!(campaign_from_json(&text).is_ok(), "{text}");
+        }
         // Each pattern at the edge of what its endpoints carry parses.
         for (radix, pattern) in [
             (16, "hotspot15"),

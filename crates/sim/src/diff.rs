@@ -30,6 +30,7 @@
 //! whole fleet green for ≥ 10k randomized cycles per fabric × scheme.
 
 use crate::packet::Packet;
+use crate::switch_cycle::SwitchCycle;
 use hirise_core::rng::{Rng, SeedableRng, StdRng};
 use hirise_core::{
     ArbitrationScheme, Fabric, FoldedSwitch, Grant, HiRiseConfig, HiRiseSwitch, InputId,
@@ -290,10 +291,14 @@ pub struct CoSimOutcome {
 /// Drives `fabric` through `schedule`, checking per-cycle grant
 /// legality, and returns the delivery log.
 ///
-/// The engine mirrors the `NetworkSim` cycle loop: idle inputs present
-/// their FIFO head as a request each cycle, winners hold the connection
-/// for `len_flits` beats, and the release beat occupies one extra cycle
-/// (the output bus doubles as the priority bus).
+/// The engine is the simulators' own [`SwitchCycle`] with one VC per
+/// input, so each input presents its packets in FIFO order: idle inputs
+/// present their head packet as a request each cycle, a winner's last
+/// beat lands on the transfer wheel `len_flits` cycles after its grant,
+/// and its release beat one cycle after that (the output bus doubles as
+/// the priority bus). A fault in the wheel, the release beat or the
+/// request collection therefore shows up here as a violation or a
+/// starvation.
 ///
 /// # Errors
 ///
@@ -310,16 +315,12 @@ pub fn run_schedule<F: Fabric>(
     let radix = schedule.radix;
     let deadline = schedule.deadline();
 
-    // Per-input FIFO of schedule indices, filled as cycles pass.
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); radix];
     let mut next_packet = 0usize; // schedule is scanned in order
     let mut by_cycle: Vec<usize> = (0..schedule.packets.len()).collect();
     by_cycle.sort_by_key(|&i| schedule.packets[i].inject_cycle);
 
-    // In-flight transfer per input: (schedule index, flits remaining).
-    let mut transfers: Vec<Option<(usize, usize)>> = vec![None; radix];
+    let mut cycle = SwitchCycle::new(radix, 1);
     let mut delivered = Vec::new();
-    let mut grants: Vec<Grant> = Vec::new();
     let mut now = 0u64;
 
     while delivered.len() < schedule.packets.len() {
@@ -334,43 +335,29 @@ pub fn run_schedule<F: Fabric>(
             });
         }
 
-        // (a) Progress transfers; completed ones release one beat later.
-        for (input, transfer) in transfers.iter_mut().enumerate() {
-            if let Some((index, flits)) = transfer {
-                if *flits > 0 {
-                    *flits -= 1;
-                    if *flits == 0 {
-                        delivered.push(*index);
-                    }
-                } else {
-                    fabric.release(InputId::new(input));
-                    *transfer = None;
-                }
-            }
-        }
+        // (a) Land the cycle's last beats and release beats.
+        cycle.transfers(fabric, |_, _, _, packet| delivered.push(packet.id as usize));
 
-        // (b) Inject this cycle's packets.
+        // (b) Inject this cycle's packets; a packet's id is its index.
         while next_packet < by_cycle.len()
             && schedule.packets[by_cycle[next_packet]].inject_cycle <= now
         {
             let index = by_cycle[next_packet];
-            queues[schedule.packets[index].src].push_back(index);
+            let packet = &schedule.packets[index];
+            cycle.inject(Packet {
+                id: index as u64,
+                src: InputId::new(packet.src),
+                dst: OutputId::new(packet.dst),
+                len_flits: packet.len_flits,
+                birth_cycle: packet.inject_cycle,
+                measured: true,
+                handle: hirise_core::PacketHandle::NONE,
+            });
             next_packet += 1;
         }
 
-        // (c) Present the head of every idle input's queue.
-        let mut requests = Vec::new();
-        for (input, queue) in queues.iter().enumerate() {
-            if transfers[input].is_some() {
-                continue;
-            }
-            if let Some(&index) = queue.front() {
-                requests.push(Request::new(
-                    InputId::new(input),
-                    OutputId::new(schedule.packets[index].dst),
-                ));
-            }
-        }
+        // (c) Present the head of every idle input's VC.
+        cycle.collect(|_, packet| packet.dst, |_, _| true);
 
         // Snapshot held connections to verify they survive arbitration.
         let busy_out: Vec<bool> = (0..radix)
@@ -380,15 +367,16 @@ pub fn run_schedule<F: Fabric>(
             .map(|i| fabric.connection(InputId::new(i)))
             .collect();
 
-        fabric.arbitrate_into(&requests, &mut grants);
+        fabric.arbitrate_into(&cycle.requests, &mut cycle.grants);
 
         // (d) Per-cycle grant legality.
         let mut out_seen = vec![false; radix];
         let mut in_seen = vec![false; radix];
-        for grant in &grants {
+        for grant in &cycle.grants {
             let gi = grant.input.index();
             let go = grant.output.index();
-            if !requests
+            if !cycle
+                .requests
                 .iter()
                 .any(|r| r.input == grant.input && r.output == grant.output)
             {
@@ -426,14 +414,8 @@ pub fn run_schedule<F: Fabric>(
             }
         }
 
-        // (e) Winners start transferring their FIFO head.
-        for grant in &grants {
-            let input = grant.input.index();
-            let index = queues[input]
-                .pop_front()
-                .expect("granted input has a queued packet");
-            transfers[input] = Some((index, schedule.packets[index].len_flits));
-        }
+        // (e) Winners start transferring their head packet.
+        cycle.commit();
 
         now += 1;
     }
@@ -713,9 +695,11 @@ impl fmt::Display for ArbitrateIntoDivergence {
 /// buffer-reusing [`Fabric::arbitrate_into`] — and demands bit-identical
 /// grant vectors every cycle (same winners, same order).
 ///
-/// Returns the number of cycles compared. The engine mirrors
-/// [`run_schedule`]'s cycle loop and stops at the schedule deadline even
-/// if traffic is still draining, so a run always terminates.
+/// Returns the number of cycles compared. The loop keeps
+/// [`run_schedule`]'s timing (each idle input requests with its FIFO
+/// head, a winner holds its connection for `len_flits` beats and a
+/// release beat) and stops at the schedule deadline even if traffic is
+/// still draining, so a run always terminates.
 ///
 /// # Errors
 ///

@@ -277,9 +277,10 @@ pub(crate) fn phase_transfers<F: Fabric, T: ShardTopology + ?Sized>(
 }
 
 /// Arbitration phase: for every active (`work`) node, collects its
-/// switch cycle's requests — routing each candidate and, where the
-/// topology credit-checks links, revoking it while the downstream port
-/// is full — arbitrates them, and commits the winners' transfers.
+/// switch cycle's requests — routing each packet as it enters a VC and,
+/// where the topology credit-checks links, revoking a candidate while
+/// the downstream port is full — arbitrates them, and commits the
+/// winners' transfers.
 ///
 /// `remote_occupancy` answers credit checks for downstream ports
 /// outside `[node_lo, node_lo + nodes)` (the shard frontier snapshots).
@@ -308,28 +309,29 @@ pub(crate) fn phase_arbitrate<F: Fabric, T: ShardTopology + ?Sized>(
         // to its own node (`ShardedSim::new` checks).
         let (before, rest) = eng.cycles.split_at_mut(local);
         let (cycle, after) = rest.split_first_mut().expect("local node in range");
-        cycle.collect(|_input, packet| {
-            let output = topo.route(node, packet.dst.index(), packet.id as usize);
-            if credit {
-                // The downstream port must have a free slot before this
-                // hop may start (the in-flight hop itself is the one
-                // slot we reserve).
-                if let Some((next_node, next_input)) = topo.wire(node, output) {
-                    let next = next_node.wrapping_sub(node_lo);
-                    let occupancy = if next < local {
-                        before[next].ports[next_input].occupancy()
-                    } else if next > local && next - local - 1 < after.len() {
-                        after[next - local - 1].ports[next_input].occupancy()
-                    } else {
-                        remote_occupancy(next_node, next_input)
-                    };
-                    if occupancy >= link_buffer_packets {
-                        return None;
-                    }
-                }
-            }
-            Some(output)
-        });
+        let route =
+            |_input, packet: &Packet| topo.route(node, packet.dst.index(), packet.id as usize);
+        if credit {
+            // The downstream port must have a free slot before this hop
+            // may start (the in-flight hop itself is the one slot we
+            // reserve).
+            cycle.collect(route, |_input, output| {
+                let Some((next_node, next_input)) = topo.wire(node, output) else {
+                    return true;
+                };
+                let next = next_node.wrapping_sub(node_lo);
+                let occupancy = if next < local {
+                    before[next].ports[next_input].occupancy()
+                } else if next > local && next - local - 1 < after.len() {
+                    after[next - local - 1].ports[next_input].occupancy()
+                } else {
+                    remote_occupancy(next_node, next_input)
+                };
+                occupancy < link_buffer_packets
+            });
+        } else {
+            cycle.collect(route, |_, _| true);
+        }
         // An idle arbitration is unobservable unless the fabric ticks
         // its fault PRNG when idle — those nodes are pinned and always
         // arbitrated, so skipping here never desynchronises a stream.

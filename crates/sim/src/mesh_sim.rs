@@ -372,14 +372,101 @@ pub struct MeshGeometry {
     layout: PortLayout,
 }
 
+/// Why a [`MeshGeometry`] could not be built.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum MeshShapeError {
+    /// A shape dimension is zero.
+    ZeroDimension {
+        /// The dimension: `cols`, `rows` or `ports_per_direction`.
+        field: &'static str,
+    },
+    /// The switch radix leaves no port for a core beside the four
+    /// directions' ports.
+    RadixTooSmall {
+        /// The offered radix.
+        radix: usize,
+        /// Ports the directions take (`4 * ports_per_direction`).
+        direction_ports: usize,
+    },
+    /// A layer-aware port map over zero layers, or over a layer count
+    /// that does not divide the radix.
+    BadLayerCount {
+        /// The configured layer count.
+        layers: usize,
+        /// The switch radix.
+        radix: usize,
+    },
+}
+
+impl std::fmt::Display for MeshShapeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MeshShapeError::ZeroDimension { field } => write!(f, "{field} must be at least 1"),
+            MeshShapeError::RadixTooSmall {
+                radix,
+                direction_ports,
+            } => write!(
+                f,
+                "radix {radix} cannot serve {direction_ports} direction ports and cores"
+            ),
+            MeshShapeError::BadLayerCount { layers, radix } => write!(
+                f,
+                "a layer-aware port map needs a layer count that divides radix {radix}, \
+                 got {layers}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for MeshShapeError {}
+
 impl MeshGeometry {
+    /// Checks that `cols x rows` switches of `radix` ports can build a
+    /// mesh reserving `ports_per_direction` per direction under `map`:
+    /// what [`new`](Self::new) would otherwise panic on.
+    ///
+    /// # Errors
+    ///
+    /// A zero dimension, a radix with no port left for a core, or a
+    /// layer-aware map whose layer count is zero or does not divide the
+    /// radix.
+    pub fn check(
+        cols: usize,
+        rows: usize,
+        ports_per_direction: usize,
+        radix: usize,
+        map: MeshPortMap,
+    ) -> Result<(), MeshShapeError> {
+        for (field, value) in [
+            ("cols", cols),
+            ("rows", rows),
+            ("ports_per_direction", ports_per_direction),
+        ] {
+            if value == 0 {
+                return Err(MeshShapeError::ZeroDimension { field });
+            }
+        }
+        let direction_ports = 4 * ports_per_direction;
+        if radix <= direction_ports {
+            return Err(MeshShapeError::RadixTooSmall {
+                radix,
+                direction_ports,
+            });
+        }
+        if let MeshPortMap::LayerAware { layers } = map {
+            if layers == 0 || !radix.is_multiple_of(layers) {
+                return Err(MeshShapeError::BadLayerCount { layers, radix });
+            }
+        }
+        Ok(())
+    }
+
     /// Builds the geometry for `cols x rows` switches of `radix` ports,
     /// reserving `ports_per_direction` per mesh direction.
     ///
     /// # Panics
     ///
-    /// Panics if the mesh is empty, no direction ports are reserved, or
-    /// `radix` cannot serve the direction ports plus at least one core.
+    /// Panics on any shape [`check`](Self::check) rejects.
     pub fn new(
         cols: usize,
         rows: usize,
@@ -387,15 +474,9 @@ impl MeshGeometry {
         radix: usize,
         map: MeshPortMap,
     ) -> Self {
-        assert!(cols >= 1 && rows >= 1, "mesh must have at least one node");
-        assert!(
-            ports_per_direction >= 1,
-            "need at least one port per direction"
-        );
-        assert!(
-            radix > 4 * ports_per_direction,
-            "radix {radix} cannot serve 4x{ports_per_direction} direction ports and cores"
-        );
+        if let Err(e) = Self::check(cols, rows, ports_per_direction, radix, map) {
+            panic!("{e}");
+        }
         let cores_per_node = radix - 4 * ports_per_direction;
         let layout = PortLayout::new(radix, ports_per_direction, map);
         Self {

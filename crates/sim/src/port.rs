@@ -8,10 +8,11 @@
 //! switch each cycle (giving blocked packets head-of-line relief).
 //!
 //! An [`InputPort`] is the port's header: its source queue, VC
-//! occupancy mask, selected VC, rotation pointer and the length and
-//! output of its transfer, in one 64-byte cache line. The packets its VCs hold live in the
-//! owning [`SwitchCycle`](crate::SwitchCycle)'s slot array, `vcs` slots
-//! per port, and the methods that move packets take the port's slots.
+//! occupancy mask, selected VC and rotation pointer, in one 64-byte
+//! cache line. The packets its VCs hold, and the request each VC makes,
+//! live in the owning [`SwitchCycle`](crate::SwitchCycle)'s slot
+//! arrays, `vcs` slots per port, and the methods that move packets take
+//! the port's slots.
 
 use crate::packet::Packet;
 use std::collections::VecDeque;
@@ -19,9 +20,11 @@ use std::collections::VecDeque;
 /// `active_vc` of a port with no VC selected or transferring.
 const NO_VC: u8 = u8::MAX;
 
-/// An input's transfer through the switch.
+/// The request a VC's packet makes of the switch, recorded once when
+/// the packet enters the VC: the output it is routed to and the length
+/// of the transfer it asks for.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct Transfer {
+pub(crate) struct VcRequest {
     /// Flit beats of the packet. The packet stays in its port's active
     /// VC until its last beat lands, `len` cycles after the grant; the
     /// connection releases on the *next* cycle (the output bus doubles
@@ -43,9 +46,6 @@ pub struct InputPort {
     source_queue: VecDeque<Packet>,
     /// Bit `v` set iff VC `v` holds a packet.
     occupied: u64,
-    /// The transfer of the selected VC, written when it requests and
-    /// read once it wins.
-    pub(crate) transfer: Transfer,
     /// Virtual channels, `1..=64`.
     vcs: u8,
     /// VC currently selected or transferring, or [`NO_VC`].
@@ -66,7 +66,6 @@ impl InputPort {
         Self {
             source_queue: VecDeque::new(),
             occupied: 0,
-            transfer: Transfer::default(),
             vcs: vcs as u8,
             active_vc: NO_VC,
             next_vc: 0,
@@ -79,10 +78,10 @@ impl InputPort {
     }
 
     /// Moves at most one packet from the source queue into a free VC of
-    /// `slots`, the port's `vcs` packet slots.
-    pub(crate) fn fill_vcs(&mut self, slots: &mut [Option<Packet>]) {
+    /// `slots`, the port's `vcs` packet slots, and returns that VC.
+    pub(crate) fn fill_vcs(&mut self, slots: &mut [Option<Packet>]) -> Option<usize> {
         if self.source_queue.is_empty() {
-            return;
+            return None;
         }
         let all = if self.vcs == 64 {
             !0
@@ -90,11 +89,13 @@ impl InputPort {
             (1u64 << self.vcs) - 1
         };
         let free = !self.occupied & all;
-        if free != 0 {
-            let vc = free.trailing_zeros() as usize;
-            slots[vc] = self.source_queue.pop_front();
-            self.occupied |= 1 << vc;
+        if free == 0 {
+            return None;
         }
+        let vc = free.trailing_zeros() as usize;
+        slots[vc] = self.source_queue.pop_front();
+        self.occupied |= 1 << vc;
+        Some(vc)
     }
 
     /// Picks the VC that will request the switch this cycle: the first
@@ -123,13 +124,14 @@ impl InputPort {
     }
 
     /// Confirms that the candidate VC won arbitration and is now
-    /// transferring.
+    /// transferring, and returns it.
     ///
     /// # Panics
     ///
     /// Panics if no candidate was selected this cycle.
-    pub(crate) fn confirm_grant(&mut self) {
+    pub(crate) fn confirm_grant(&mut self) -> usize {
         assert!(self.active_vc != NO_VC, "no candidate to confirm");
+        self.active_vc as usize
     }
 
     /// Reverts the tentative selection after losing arbitration.

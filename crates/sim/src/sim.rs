@@ -365,7 +365,7 @@ impl<F: Fabric, T: TrafficPattern> NetworkSim<F, T> {
         // per idle port, and start the winners' transfers. The checker
         // reads the busy state of the requested outputs before the
         // fabric answers.
-        self.cycle.collect(|_, packet| Some(packet.dst));
+        self.cycle.collect(|_, packet| packet.dst, |_, _| true);
         if let Some(checker) = &mut self.checker {
             let fabric = &self.fabric;
             checker.before_arbitration(self.cfg.radix, &self.cycle.requests, |output| {

@@ -24,11 +24,19 @@
 //! [`arbitrate`](SwitchCycle::arbitrate) once per cycle. `NetworkSim`
 //! splits arbitration into `collect` and `commit` around its own
 //! `arbitrate_into` call so its invariant checker can read the fabric
-//! in between; the network engine does the same, routing each
-//! candidate as it is collected.
+//! in between; the network engine does the same, routing each packet
+//! as it enters a VC and gating each candidate on downstream credit.
+//!
+//! A VC's request is recorded once, when its packet enters the VC:
+//! `collect` routes the packet then and keeps the output and length in
+//! a `radix × vcs` array beside the packet slots. A candidate that waits
+//! many cycles for its output is presented from that record each cycle,
+//! without reading the packet or routing it again. Routing is a pure
+//! function of the packet and the switch, so when it runs changes no
+//! result.
 
 use crate::packet::Packet;
-use crate::port::{InputPort, Transfer};
+use crate::port::{InputPort, VcRequest};
 use hirise_core::{Fabric, Grant, InputId, OutputId, Request};
 
 /// Cycles on a fresh transfer wheel: room for packets of up to six
@@ -43,6 +51,9 @@ pub struct SwitchCycle {
     /// The VC packet slots of every port: input `i`'s VC `v` is
     /// `slots[i * vcs + v]`.
     slots: Vec<Option<Packet>>,
+    /// The request of the packet in each VC slot, recorded when it
+    /// entered the VC; indexed as `slots`.
+    vc_requests: Vec<VcRequest>,
     /// Virtual channels per port.
     vcs: usize,
     /// Bitmap over inputs: a transfer (or its release beat) is in flight.
@@ -78,6 +89,7 @@ impl SwitchCycle {
         Self {
             ports: (0..radix).map(|_| InputPort::new(vcs)).collect(),
             slots: vec![None; radix * vcs],
+            vc_requests: vec![VcRequest::default(); radix * vcs],
             vcs,
             active_transfers: vec![0; words],
             wheel: vec![0; INITIAL_WHEEL_SLOTS * words],
@@ -142,8 +154,8 @@ impl SwitchCycle {
                     if port.is_idle() {
                         self.port_occupied[word_idx] &= !(1u64 << bit);
                     }
-                    let output = OutputId::new(port.transfer.output as usize);
-                    deliver(input, vc, output, packet);
+                    let output = self.vc_requests[input * self.vcs + vc].output;
+                    deliver(input, vc, OutputId::new(output as usize), packet);
                 } else {
                     // Release beat: the output bus becomes available for
                     // arbitration this cycle.
@@ -192,24 +204,32 @@ impl SwitchCycle {
     /// fabric arbitrates every cycle, even with no requests, so fabrics
     /// that tick when idle (flaky faults) keep their own clock.
     pub fn arbitrate<F: Fabric>(&mut self, fabric: &mut F) {
-        self.collect(|_, packet| Some(packet.dst));
+        self.collect(|_, packet| packet.dst, |_, _| true);
         fabric.arbitrate_into(&self.requests, &mut self.grants);
         self.commit();
     }
 
     /// First half of [`arbitrate`](Self::arbitrate): fills VCs and
     /// selects a candidate on every occupied port that is not
-    /// transferring, and asks `route(input, candidate)` for the output to
-    /// request. `None` (no credit downstream) revokes the candidate;
-    /// `Some(output)` queues a request in `requests`.
-    pub(crate) fn collect(&mut self, mut route: impl FnMut(usize, &Packet) -> Option<OutputId>) {
+    /// transferring. A packet entering a VC is routed there, once:
+    /// `route(input, packet)` gives the output its VC will request. A
+    /// candidate then requests its VC's output if `gate(input, output)`
+    /// allows it (a network's credit check), queueing a request in
+    /// `requests`; otherwise it is revoked for this cycle.
+    pub(crate) fn collect(
+        &mut self,
+        mut route: impl FnMut(usize, &Packet) -> OutputId,
+        mut gate: impl FnMut(usize, OutputId) -> bool,
+    ) {
         // Fill and select in a single pass over the occupied ports: the
         // two only interact within a port, so interleaving them across
         // ports is equivalent, and a skipped port holds no packet, for
-        // which both are no-ops. Only the route inputs and the length
-        // are read here; the winning packets stay in their VCs, so
-        // losing candidates never cost a packet copy.
+        // which both are no-ops. A candidate is presented from its VC's
+        // recorded request, so its packet is not read here; the winning
+        // packets stay in their VCs, so losing candidates never cost a
+        // packet copy.
         self.requests.clear();
+        let vcs = self.vcs;
         for word_idx in 0..self.port_occupied.len() {
             let mut word = self.port_occupied[word_idx];
             while word != 0 {
@@ -217,25 +237,27 @@ impl SwitchCycle {
                 word &= word - 1;
                 let input = word_idx * 64 + bit;
                 let port = &mut self.ports[input];
-                let slots = &mut self.slots[input * self.vcs..(input + 1) * self.vcs];
-                port.fill_vcs(slots);
+                let slots = &mut self.slots[input * vcs..(input + 1) * vcs];
+                let vc_requests = &mut self.vc_requests[input * vcs..(input + 1) * vcs];
+                if let Some(vc) = port.fill_vcs(slots) {
+                    let packet = slots[vc].as_ref().expect("a filled VC holds a packet");
+                    vc_requests[vc] = VcRequest {
+                        len: packet.len_flits as u32,
+                        output: route(input, packet).index() as u32,
+                    };
+                }
                 if self.active_transfers[word_idx] >> bit & 1 == 1 {
                     continue;
                 }
                 let Some(vc) = port.select_vc() else {
                     continue;
                 };
-                let packet = slots[vc].as_ref().expect("occupied VC holds a packet");
-                match route(input, packet) {
-                    Some(output) => {
-                        port.transfer = Transfer {
-                            len: packet.len_flits as u32,
-                            output: output.index() as u32,
-                        };
-                        self.requests
-                            .push(Request::new(InputId::new(input), output));
-                    }
-                    None => port.revoke_candidate(),
+                let output = OutputId::new(vc_requests[vc].output as usize);
+                if gate(input, output) {
+                    self.requests
+                        .push(Request::new(InputId::new(input), output));
+                } else {
+                    port.revoke_candidate();
                 }
             }
         }
@@ -258,8 +280,8 @@ impl SwitchCycle {
             let (word, bit) = (input / 64, 1u64 << (input % 64));
             let port = &mut self.ports[input];
             if self.granted[word] & bit != 0 {
-                port.confirm_grant();
-                let len = u64::from(port.transfer.len.max(1));
+                let vc = port.confirm_grant();
+                let len = u64::from(self.vc_requests[input * self.vcs + vc].len.max(1));
                 self.active_transfers[word] |= bit;
                 self.schedule(input, len);
                 self.schedule(input, len + 1);

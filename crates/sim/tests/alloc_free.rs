@@ -7,8 +7,8 @@
 //!
 //! The counter is thread-local, so parallel test threads cannot pollute
 //! it, and each test serializes its own warmup/measure windows. It also
-//! counts frees, so a test can read how many heap blocks a freshly built
-//! switch holds.
+//! counts frees and live bytes, so a test can read how many heap blocks
+//! and bytes a freshly built switch holds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -27,39 +27,42 @@ thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static DEALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Forwards to the system allocator, bumping a thread-local counter for
-/// every allocation (and reallocation), and another for every free, made
-/// while counting is enabled.
+/// every allocation (and reallocation), another for every free, and a
+/// balance of requested bytes, for the calls made while counting is
+/// enabled.
 struct CountingAlloc;
+
+/// Counts one allocation of `bytes` (or, negative, a free) if counting.
+fn count(allocations: u64, deallocations: u64, bytes: i64) {
+    if COUNTING.get() {
+        ALLOCATIONS.set(ALLOCATIONS.get() + allocations);
+        DEALLOCATIONS.set(DEALLOCATIONS.get() + deallocations);
+        LIVE_BYTES.set(LIVE_BYTES.get() + bytes);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.get() {
-            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
-        }
+        count(1, 0, layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.get() {
-            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
-        }
+        count(1, 0, layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.get() {
-            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
-        }
+        count(1, 0, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if COUNTING.get() {
-            DEALLOCATIONS.set(DEALLOCATIONS.get() + 1);
-        }
+        count(0, 1, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -265,25 +268,61 @@ fn steady_state_dragonfly_cycles_allocate_nothing() {
     assert_eq!(sim.invariant_violation_count(), 0);
 }
 
+/// The heap blocks and bytes `build`'s result holds once built, boxed
+/// as a network keeps its routers.
+fn fresh_heap(build: impl FnOnce() -> Box<dyn Fabric>) -> (u64, i64, Box<dyn Fabric>) {
+    ALLOCATIONS.set(0);
+    DEALLOCATIONS.set(0);
+    LIVE_BYTES.set(0);
+    COUNTING.set(true);
+    let fabric = build();
+    COUNTING.set(false);
+    (
+        ALLOCATIONS.get() - DEALLOCATIONS.get(),
+        LIVE_BYTES.get(),
+        fabric,
+    )
+}
+
 /// A switch keeps each bank of arbiters in one array, so a freshly
 /// built Hi-Rise 32x4 c2 router (the wafer dragonfly's) holds a few
 /// dozen heap blocks rather than one per arbiter: it has 56 local
-/// columns and 32 sub-blocks with a CLRG counter set each.
+/// columns and 32 sub-blocks with a CLRG counter set each. Its LRG
+/// arbiters hold one `u16` rank per requestor, its fault state is
+/// boxed until enabled, and its decode tables are shared by every
+/// switch of its shape built after it on the thread: the first switch
+/// of the shape holds 4,400 bytes, each further one 3,216.
 #[test]
 fn a_fresh_hirise_switch_holds_few_heap_blocks() {
     let cfg = HiRiseConfig::builder(32, 4)
         .channel_multiplicity(2)
         .build()
         .expect("valid Hi-Rise configuration");
-    ALLOCATIONS.set(0);
-    DEALLOCATIONS.set(0);
-    COUNTING.set(true);
-    let switch = HiRiseSwitch::new(&cfg);
-    COUNTING.set(false);
-    let live = ALLOCATIONS.get() - DEALLOCATIONS.get();
+    let (live, first_bytes, first) = fresh_heap(|| Box::new(HiRiseSwitch::new(&cfg)));
     assert!(
         live <= 40,
         "a fresh 32x4 c2 switch holds {live} heap blocks"
+    );
+    assert!(
+        first_bytes <= 4_400,
+        "the first 32x4 c2 switch holds {first_bytes} heap bytes"
+    );
+    let (_, bytes, second) = fresh_heap(|| Box::new(HiRiseSwitch::new(&cfg)));
+    assert!(
+        bytes <= 3_216,
+        "each further 32x4 c2 switch holds {bytes} heap bytes"
+    );
+    drop((first, second));
+}
+
+/// A radix-64 2D switch keeps its 64 output arbiters as 64 ranks each
+/// (8 KiB of its 12,624 heap bytes).
+#[test]
+fn a_fresh_switch2d_holds_its_ranks_in_few_bytes() {
+    let (_, bytes, switch) = fresh_heap(|| Box::new(Switch2d::new(RADIX)));
+    assert!(
+        bytes <= 12_624,
+        "a fresh radix-64 2D switch holds {bytes} heap bytes"
     );
     drop(switch);
 }
